@@ -318,6 +318,52 @@ def _objective_at(
     return (prior[None, :] * logz).sum(axis=1) / (alphas - 1.0)
 
 
+def _result(values, sigmas, iterations, steps) -> AugustinResult:
+    """The AugustinResult of the first order of a sweep."""
+    return AugustinResult(
+        value=float(values[0]),
+        optimizer=DensityOperator(HermitianOperator(sigmas[0])),
+        iterations=int(iterations[0]),
+        final_step=float(steps[0]),
+    )
+
+
+def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, damping):
+    """Validate, run the fixed-point sweep, and raise if any order failed.
+
+    ``alpha`` is one order (a scalar solve) or an array of them (a curve).
+    The Augustin mode accepts orders in (0, 2], the conditional mode (1, 2].
+    The ConvergenceError of a scalar solve carries its AugustinResult as
+    ``best``; that of a curve carries the value array.  Returns (values,
+    sigmas, iterations, final_steps).
+    """
+    lo, what = (1.0, "conditional-entropy") if conditional else (0.0, "Augustin")
+    single = np.ndim(alpha) == 0
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    for a in alphas:
+        _check_alpha(a, lo, 2.0)
+    if not tol > 0.0:
+        raise InvalidParameterError(f"tol must be positive, got {tol}")
+    states, prior = _positive_part(src)
+    values, sigmas, iters, steps, ok = _sweep_fixed_point(
+        states, prior, alphas, conditional=conditional, tol=tol, max_iter=max_iter, damping=damping
+    )
+    if ok.all():
+        return values, sigmas, iters, steps
+    if single:
+        best = _result(values, sigmas, iters, steps)
+        raise ConvergenceError(
+            f"{what} iteration did not reach tol={tol} in {max_iter} steps "
+            f"(last step {best.final_step:.3e})",
+            best=best,
+        )
+    raise ConvergenceError(
+        f"{what} sweep failed to converge at alpha={alphas[~ok]} "
+        f"(worst step {steps[~ok].max():.3e})",
+        best=values,
+    )
+
+
 def augustin_sandwiched(
     src: CQSource,
     alpha: float,
@@ -332,32 +378,7 @@ def augustin_sandwiched(
     reported value is the objective evaluated at the final iterate, hence
     always an upper bound on the true infimum.
     """
-    alpha = _check_alpha(alpha, 0.0, 2.0)
-    if tol <= 0.0:
-        raise InvalidParameterError(f"tol must be positive, got {tol}")
-    states, prior = _positive_part(src)
-    values, sigmas, iters, steps, ok = _sweep_fixed_point(
-        states,
-        prior,
-        np.array([alpha]),
-        conditional=False,
-        tol=tol,
-        max_iter=max_iter,
-        damping=damping,
-    )
-    result = AugustinResult(
-        value=float(values[0]),
-        optimizer=DensityOperator(HermitianOperator(sigmas[0])),
-        iterations=int(iters[0]),
-        final_step=float(steps[0]),
-    )
-    if not ok[0]:
-        raise ConvergenceError(
-            f"Augustin iteration did not reach tol={tol} in {max_iter} steps "
-            f"(last step {result.final_step:.3e})",
-            best=result,
-        )
-    return result
+    return _result(*_fixed_point(src, alpha, False, tol, max_iter, damping))
 
 
 def augustin_petz_up(src: CQSource, alpha: float) -> float:
@@ -388,29 +409,7 @@ def conditional_renyi_sandwiched(
     exp((alpha-1) D*_alpha(rho_x||sigma)) with the same damped fixed-point
     scheme as the Augustin optimization.
     """
-    alpha = _check_alpha(alpha, 1.0, 2.0)
-    states, prior = _positive_part(src)
-    values, sigmas, iters, steps, ok = _sweep_fixed_point(
-        states,
-        prior,
-        np.array([alpha]),
-        conditional=True,
-        tol=tol,
-        max_iter=max_iter,
-        damping=damping,
-    )
-    if not ok[0]:
-        best = AugustinResult(
-            value=float(values[0]),
-            optimizer=DensityOperator(HermitianOperator(sigmas[0])),
-            iterations=int(iters[0]),
-            final_step=float(steps[0]),
-        )
-        raise ConvergenceError(
-            f"conditional-entropy iteration did not reach tol={tol} in "
-            f"{max_iter} steps (last step {best.final_step:.3e})",
-            best=best,
-        )
+    values = _fixed_point(src, alpha, True, tol, max_iter, damping)[0]
     return float(values[0])
 
 
@@ -440,21 +439,7 @@ def augustin_sandwiched_curve(
     Same semantics per alpha as augustin_sandwiched; the iteration is batched
     over the grid for speed.  Raises ConvergenceError if any point fails.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    for a in alphas:
-        _check_alpha(a, 0.0, 2.0)
-    states, prior = _positive_part(src)
-    values, _, _, steps, ok = _sweep_fixed_point(
-        states, prior, alphas, conditional=False, tol=tol, max_iter=max_iter, damping=damping
-    )
-    if not ok.all():
-        bad = alphas[~ok]
-        raise ConvergenceError(
-            f"Augustin sweep failed to converge at alpha={bad} "
-            f"(worst step {steps[~ok].max():.3e})",
-            best=values,
-        )
-    return values
+    return _fixed_point(src, alphas, False, tol, max_iter, damping)[0]
 
 
 def conditional_renyi_sandwiched_curve(
@@ -465,21 +450,7 @@ def conditional_renyi_sandwiched_curve(
     damping: float = DEFAULT_DAMPING,
 ) -> np.ndarray:
     """H*_alpha(X|B) over a grid of alpha values in (1, 2]."""
-    alphas = np.asarray(alphas, dtype=float)
-    for a in alphas:
-        _check_alpha(a, 1.0, 2.0)
-    states, prior = _positive_part(src)
-    values, _, _, steps, ok = _sweep_fixed_point(
-        states, prior, alphas, conditional=True, tol=tol, max_iter=max_iter, damping=damping
-    )
-    if not ok.all():
-        bad = alphas[~ok]
-        raise ConvergenceError(
-            f"conditional-entropy sweep failed to converge at alpha={bad} "
-            f"(worst step {steps[~ok].max():.3e})",
-            best=values,
-        )
-    return values
+    return _fixed_point(src, alphas, True, tol, max_iter, damping)[0]
 
 
 def augustin_petz_up_curve(src: CQSource, alphas) -> np.ndarray:

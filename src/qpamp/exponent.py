@@ -1,17 +1,27 @@
-"""Achievability and strong-converse exponent formulas with sup over alpha.
+"""Achievability and strong-converse exponents as suprema over alpha.
 
-Every exponent is a supremum of a smooth objective over an open alpha
-interval.  We evaluate the objective on a fixed grid pulled slightly inside
-the interval (the endpoints are singular in the prefactors), then refine the
-best bracket by golden-section search.  Exponents are reported in nats per
-symbol; negative values mean the bound is vacuous and are reported as-is.
+Every exponent has the form
+
+    offset + sup_{alpha in (lo, hi)} ((1 - alpha)/alpha) (Q(alpha) - c)
+
+with Q one of three rate-independent curves of a source, the rows of
+``_FAMILIES``: the sandwiched Augustin information on (1, 2) (``augustin``),
+the Petz Augustin-like quantity at order 2 - 1/alpha on (1/2, 1)
+(``petz-up``), and -H*_alpha(X|B) on (1, 2) (``neg-conditional``).  Each
+kind supplies its row, the shift c (the rate and an entropy-like term) and
+the offset.  ``_sup_over_alpha`` evaluates the objective on a fixed grid
+pulled slightly inside the interval (the endpoints are singular in the
+prefactors) with one batched curve call, then refines the best bracket by
+golden-section search on single-point solves.  Exponents are reported in
+nats per symbol; negative values mean the bound is vacuous and are reported
+as-is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +52,44 @@ class ExponentReport:
     meta: dict = field(default_factory=dict)
 
 
+class _Family(NamedTuple):
+    """Open alpha interval of a curve Q; Q over a grid and at one point.
+
+    Both forms are called as (source, alpha or alphas, tol, max_iter).
+    """
+
+    lo: float
+    hi: float
+    curve: Callable[[CQSource, np.ndarray, float, int], np.ndarray]
+    point: Callable[[CQSource, float, float, int], float]
+
+
+# The divergence functions are looked up when called, so code that replaces
+# one of them (a tracer, a test double) sees every call made from here.
+_FAMILIES = {
+    "augustin": _Family(
+        1.0, 2.0,
+        lambda src, a, tol, it: dv.augustin_sandwiched_curve(src, a, tol, it),
+        lambda src, a, tol, it: dv.augustin_sandwiched(src, a, tol, it).value,
+    ),
+    "petz-up": _Family(
+        0.5, 1.0,
+        lambda src, a, tol, it: dv.augustin_petz_up_curve(src, 2.0 - 1.0 / a),
+        lambda src, a, tol, it: dv.augustin_petz_up(src, 2.0 - 1.0 / a),
+    ),
+    "neg-conditional": _Family(
+        1.0, 2.0,
+        lambda src, a, tol, it: -dv.conditional_renyi_sandwiched_curve(src, a, tol, it),
+        lambda src, a, tol, it: -dv.conditional_renyi_sandwiched(src, a, tol, it),
+    ),
+}
+
+
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise InvalidParameterError(f"rate must be finite and >= 0, got {rate}")
+
+
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
@@ -60,27 +108,44 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float) -> tuple[flo
 
 
 def _sup_over_alpha(
-    scalar_fn: Callable[[float], float],
-    lo: float,
-    hi: float,
+    src: CQSource,
+    family: str,
+    shift: tuple[float, ...],
     *,
+    offset: float = -0.0,
     points: int = GRID_POINTS,
-    grid_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    tol: float = dv.DEFAULT_TOL,
+    max_iter: int = dv.DEFAULT_MAX_ITER,
 ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """Grid the objective on [lo+margin, hi-margin], refine the best bracket."""
-    alphas = np.linspace(lo + ALPHA_MARGIN, hi - ALPHA_MARGIN, points)
-    if grid_fn is not None:
-        vals = np.asarray(grid_fn(alphas), dtype=float)
-    else:
-        vals = np.array([scalar_fn(a) for a in alphas])
+    """offset + sup over the family's interval of ((1-a)/a)(Q(a) - c).
+
+    The terms of ``shift`` are subtracted from Q one at a time, in the order
+    each formula states them, so every objective rounds exactly as its closed
+    form does.  The default offset is -0.0, the exact additive identity, so
+    an objective without one keeps the sign of a zero.  Grids
+    [lo+margin, hi-margin], then refines the best bracket.  Returns
+    (alpha_star, value, curve).
+    """
+    if points < 2:
+        raise InvalidParameterError(f"points must be >= 2, got {points}")
+    fam = _FAMILIES[family]
+
+    def objective(q, a):
+        for c in shift:
+            q = q - c
+        return offset + (1.0 - a) / a * q
+
+    alphas = np.linspace(fam.lo + ALPHA_MARGIN, fam.hi - ALPHA_MARGIN, points)
+    vals = objective(fam.curve(src, alphas, tol, max_iter), alphas)
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
-    blo = float(alphas[max(i - 1, 0)])
-    bhi = float(alphas[min(i + 1, points - 1)])
-    if bhi > blo:
-        ra, rv = _golden_max(scalar_fn, blo, bhi)
-        if rv > best_v:
-            best_a, best_v = float(ra), float(rv)
+    ra, rv = _golden_max(
+        lambda a: objective(fam.point(src, a, tol, max_iter), a),
+        float(alphas[max(i - 1, 0)]),
+        float(alphas[min(i + 1, points - 1)]),
+    )
+    if rv > best_v:
+        best_a, best_v = float(ra), float(rv)
     curve = tuple((float(a), float(v)) for a, v in zip(alphas, vals))
     return best_a, best_v, curve
 
@@ -115,17 +180,10 @@ def sc_achievability_exponent(
     like exp(-n * exponent); the exponent is positive iff R exceeds the
     quantum mutual information.
     """
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
-
-    def scalar(a: float) -> float:
-        return (1.0 - a) / a * (dv.augustin_sandwiched(src, a, tol, max_iter).value - rate)
-
-    def grid(alphas: np.ndarray) -> np.ndarray:
-        aug = dv.augustin_sandwiched_curve(src, alphas, tol, max_iter)
-        return (1.0 - alphas) / alphas * (aug - rate)
-
-    a, v, curve = _sup_over_alpha(scalar, 1.0, 2.0, points=points, grid_fn=grid)
+    _check_rate(rate)
+    a, v, curve = _sup_over_alpha(
+        src, "augustin", (rate,), points=points, tol=tol, max_iter=max_iter
+    )
     mutual = dv.holevo_mutual_info(src)
     return ExponentReport(
         exponent=v,
@@ -155,17 +213,8 @@ def sc_converse_exponent(
     sup over alpha in (1/2,1) of ((1-alpha)/alpha)(I_petz_up(2-1/alpha) - R).
     The covering error obeys d_SC >= 1 - 4 (n+1)^|X| exp(-n * exponent).
     """
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
-
-    def scalar(a: float) -> float:
-        return (1.0 - a) / a * (dv.augustin_petz_up(src, 2.0 - 1.0 / a) - rate)
-
-    def grid(alphas: np.ndarray) -> np.ndarray:
-        up = dv.augustin_petz_up_curve(src, 2.0 - 1.0 / alphas)
-        return (1.0 - alphas) / alphas * (up - rate)
-
-    a, v, curve = _sup_over_alpha(scalar, 0.5, 1.0, points=points, grid_fn=grid)
+    _check_rate(rate)
+    a, v, curve = _sup_over_alpha(src, "petz-up", (rate,), points=points)
     return ExponentReport(
         exponent=v,
         alpha_star=a,
@@ -204,20 +253,11 @@ def pa_achievability_exponent(
     S is H(p) in the asymptotic form (prefactor (n+1)^(|X|/2)) or the exact
     (1/n) log|T^n_p| in the finite-n form (no prefactor).
     """
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
+    _check_rate(rate)
     entropy, label = _entropy_term(src, n, finite_n)
-
-    def scalar(a: float) -> float:
-        return (a - 1.0) / a * (
-            entropy - dv.augustin_sandwiched(src, a, tol, max_iter).value - rate
-        )
-
-    def grid(alphas: np.ndarray) -> np.ndarray:
-        aug = dv.augustin_sandwiched_curve(src, alphas, tol, max_iter)
-        return (alphas - 1.0) / alphas * (entropy - aug - rate)
-
-    a, v, curve = _sup_over_alpha(scalar, 1.0, 2.0, points=points, grid_fn=grid)
+    a, v, curve = _sup_over_alpha(
+        src, "augustin", (entropy, -rate), points=points, tol=tol, max_iter=max_iter
+    )
     if finite_n:
         prefactor = 0.0
     elif n is not None:
@@ -255,18 +295,9 @@ def pa_strong_converse_exponent(
     sup over alpha in (1/2,1) of ((1-alpha)/alpha)(I_petz_up(2-1/alpha) - S + R)
     with S as in pa_achievability_exponent; carries the 4 (n+1)^|X| prefactor.
     """
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
+    _check_rate(rate)
     entropy, label = _entropy_term(src, n, finite_n)
-
-    def scalar(a: float) -> float:
-        return (1.0 - a) / a * (dv.augustin_petz_up(src, 2.0 - 1.0 / a) - entropy + rate)
-
-    def grid(alphas: np.ndarray) -> np.ndarray:
-        up = dv.augustin_petz_up_curve(src, 2.0 - 1.0 / alphas)
-        return (1.0 - alphas) / alphas * (up - entropy + rate)
-
-    a, v, curve = _sup_over_alpha(scalar, 0.5, 1.0, points=points, grid_fn=grid)
+    a, v, curve = _sup_over_alpha(src, "petz-up", (entropy, -rate), points=points)
     return ExponentReport(
         exponent=v,
         alpha_star=a,
@@ -319,17 +350,10 @@ def dupuis_exponent(
 
     sup over alpha in (1,2) of ((alpha-1)/alpha)(H*_alpha(X|B) - R).
     """
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
-
-    def scalar(a: float) -> float:
-        return (a - 1.0) / a * (dv.conditional_renyi_sandwiched(src, a, tol, max_iter) - rate)
-
-    def grid(alphas: np.ndarray) -> np.ndarray:
-        cond = dv.conditional_renyi_sandwiched_curve(src, alphas, tol, max_iter)
-        return (alphas - 1.0) / alphas * (cond - rate)
-
-    a, v, curve = _sup_over_alpha(scalar, 1.0, 2.0, points=points, grid_fn=grid)
+    _check_rate(rate)
+    a, v, curve = _sup_over_alpha(
+        src, "neg-conditional", (-rate,), points=points, tol=tol, max_iter=max_iter
+    )
     return ExponentReport(
         exponent=v,
         alpha_star=a,
@@ -363,44 +387,33 @@ def iid_exponent_via_types(
     The scan uses a coarse inner alpha grid; the winning type is re-evaluated
     on the full grid for the reported curve.
     """
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
+    _check_rate(rate)
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     types = enumerate_n_types(src.alphabet_size, n, cap=cap)
 
-    def objective_for(q: np.ndarray) -> tuple[Callable, Callable, float, float]:
-        src_q = CQSource(prior=q, states=src.states)
-        dq = dv.kl_divergence(q, src.prior)
-        hq = dv.shannon_entropy(q)
-
-        def scalar(a: float) -> float:
-            return dq + (a - 1.0) / a * (
-                hq - dv.augustin_sandwiched(src_q, a, tol, max_iter).value - rate
-            )
-
-        def grid(alphas: np.ndarray) -> np.ndarray:
-            aug = dv.augustin_sandwiched_curve(src_q, alphas, tol, max_iter)
-            return dq + (alphas - 1.0) / alphas * (hq - aug - rate)
-
-        return scalar, grid, dq, hq
-
     best_val = math.inf
-    best_type: TypeDistribution | None = None
+    best: tuple[TypeDistribution, CQSource, tuple[float, float], float] | None = None
     for t in types:
         q = t.probabilities()
-        scalar, grid, dq, _ = objective_for(q)
+        dq = dv.kl_divergence(q, src.prior)
         if math.isinf(dq):
             continue
-        _, v, _ = _sup_over_alpha(scalar, 1.0, 2.0, points=scan_points, grid_fn=grid)
+        src_q = CQSource(prior=q, states=src.states)
+        shift = (dv.shannon_entropy(q), -rate)
+        _, v, _ = _sup_over_alpha(
+            src_q, "augustin", shift, offset=dq, points=scan_points, tol=tol, max_iter=max_iter
+        )
         if v < best_val:
             best_val = v
-            best_type = t
-    if best_type is None:
+            best = (t, src_q, shift, dq)
+    if best is None:
         raise InvalidInputError("no n-type lies inside the support of the prior")
 
-    scalar, grid, _, _ = objective_for(best_type.probabilities())
-    a, v, curve = _sup_over_alpha(scalar, 1.0, 2.0, points=points, grid_fn=grid)
+    best_type, src_q, shift, dq = best
+    a, v, curve = _sup_over_alpha(
+        src_q, "augustin", shift, offset=dq, points=points, tol=tol, max_iter=max_iter
+    )
     return ExponentReport(
         exponent=v,
         alpha_star=a,

@@ -13,6 +13,7 @@ trial_index), so trials are reproducible and independent of execution order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -286,12 +287,16 @@ def _mc_run(
 ) -> SimEstimate:
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
 
     def one(i: int) -> float:
         return trial_fn(substream(rng_seed, i))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # map() keeps trial order, so the estimate does not depend on the pool size
+    workers = min(threads, trials, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             values = np.fromiter(pool.map(one, range(trials)), dtype=float, count=trials)
     else:
         values = np.fromiter((one(i) for i in range(trials)), dtype=float, count=trials)

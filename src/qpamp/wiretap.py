@@ -21,6 +21,8 @@ from .errors import InvalidInputError, InvalidParameterError
 from .exponent import (
     GRID_POINTS,
     ExponentReport,
+    _check_rate,
+    _entropy_term,
     _sup_over_alpha,
 )
 from .model import CQSource, ConstantTypeSource, TypeDistribution
@@ -144,21 +146,12 @@ def secrecy_exponent(
     Requires R < I(X:B) for reliable decoding; that side condition is reported,
     not enforced.
     """
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
+    _check_rate(rate)
     eve = eve_source(ch)
     mutual_b = dv.holevo_mutual_info(bob_source(ch))
-
-    def scalar(a: float) -> float:
-        return (a - 1.0) / a * (
-            mutual_b - dv.augustin_sandwiched(eve, a, tol, max_iter).value - rate
-        )
-
-    def grid(alphas: np.ndarray) -> np.ndarray:
-        aug = dv.augustin_sandwiched_curve(eve, alphas, tol, max_iter)
-        return (alphas - 1.0) / alphas * (mutual_b - aug - rate)
-
-    a, v, curve = _sup_over_alpha(scalar, 1.0, 2.0, points=points, grid_fn=grid)
+    a, v, curve = _sup_over_alpha(
+        eve, "augustin", (mutual_b, -rate), points=points, tol=tol, max_iter=max_iter
+    )
     return ExponentReport(
         exponent=v,
         alpha_star=a,
@@ -196,10 +189,9 @@ def allocate_rates(
     sup_{a in (1/2,1)} ((1-a)/a)(I_petz_up(2-1/a; B) - R - R1) is evaluated as
     a formula only.
     """
-    if delta <= 0.0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    if rate < 0.0:
-        raise InvalidParameterError(f"rate must be >= 0, got {rate}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InvalidParameterError(f"delta must be finite and positive, got {delta}")
+    _check_rate(rate)
     bob = bob_source(ch)
     mutual_b = dv.holevo_mutual_info(bob)
     if rate > mutual_b - delta:
@@ -207,31 +199,15 @@ def allocate_rates(
             f"rate {rate} is infeasible: needs rate <= I(X:B) - delta = "
             f"{mutual_b - delta:.6f}"
         )
-    counts_f = ch.prior * n
-    counts = np.rint(counts_f).astype(int)
-    if np.max(np.abs(counts_f - counts)) > 1e-9 or counts.sum() != n:
-        raise InvalidInputError(f"channel prior is not an n-type at n={n}")
-    t = TypeDistribution(n=n, counts=tuple(int(c) for c in counts))
-    from .model import type_class_log_size
-
-    r2 = type_class_log_size(t) / n - mutual_b + delta
+    log_size_per_symbol, _ = _entropy_term(bob, n, finite_n=True)
+    r2 = log_size_per_symbol - mutual_b + delta
     r1 = mutual_b - rate - delta
     if r2 < 0.0:
         raise InvalidParameterError(
             f"blocklength n={n} too small: computed key rate R2={r2:.6f} < 0"
         )
     rates = RateAllocation(R=float(rate), R1=float(r1), R2=float(r2))
-
-    def scalar(a: float) -> float:
-        return (1.0 - a) / a * (
-            dv.augustin_petz_up(bob, 2.0 - 1.0 / a) - rate - r1
-        )
-
-    def grid(alphas: np.ndarray) -> np.ndarray:
-        up = dv.augustin_petz_up_curve(bob, 2.0 - 1.0 / alphas)
-        return (1.0 - alphas) / alphas * (up - rate - r1)
-
-    a, v, curve = _sup_over_alpha(scalar, 0.5, 1.0, points=points, grid_fn=grid)
+    a, v, curve = _sup_over_alpha(bob, "petz-up", (rate, r1), points=points)
     bob_exp = ExponentReport(
         exponent=v,
         alpha_star=a,
@@ -249,10 +225,6 @@ def allocate_rates(
 def _nearest_divisor(size: int, target: float) -> int:
     divisors = [d for d in range(1, size + 1) if size % d == 0]
     return min(divisors, key=lambda d: (abs(d - target), d))
-
-
-def _divisors(size: int) -> list[int]:
-    return [d for d in range(1, size + 1) if size % d == 0]
 
 
 #: cap on (subset, partition) pairs for the direct leakage enumeration
@@ -286,8 +258,7 @@ def simulate_leakage(
     n = t.n
     target_joint = math.exp(n * (alloc.R + alloc.R2))
     bins_joint = _nearest_divisor(size, target_joint)
-    divisors_of_joint = [d for d in _divisors(size) if bins_joint % d == 0]
-    bins_key = min(divisors_of_joint, key=lambda d: (abs(d - math.exp(n * alloc.R2)), d))
+    bins_key = _nearest_divisor(bins_joint, math.exp(n * alloc.R2))
     m = bins_joint // bins_key
     ell = size // bins_joint
     realized = RateAllocation(
@@ -299,7 +270,7 @@ def simulate_leakage(
     eve = ConstantTypeSource.from_states(eve_source(ch).states, t)
 
     def pa_term(num_bins: int):
-        if _partition_count_ok(size, num_bins, cap):
+        if simulate._partition_count(size, num_bins) <= cap:
             return simulate.d_pa_exact(eve, num_bins, cap=cap), True
         est = simulate.d_pa_monte_carlo(
             eve, num_bins, trials, rng_seed, cap=cap, threads=threads
@@ -325,10 +296,6 @@ def simulate_leakage(
         realized=realized,
         exact=joint_exact and key_exact,
     )
-
-
-def _partition_count_ok(size: int, num_bins: int, cap: int) -> bool:
-    return simulate._partition_count(size, num_bins) <= cap
 
 
 def _direct_leakage_exact(

@@ -240,6 +240,24 @@ class TestErrors:
         code, _, err = run(capsys, ["exponent", SOURCE, "--kind", "bogus", "--rate", "0.1"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1", "--points", "0"],
+            ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "nan"],
+            ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "inf"],
+            ["wiretap", CHANNEL, "--rate", "nan"],
+            ["wiretap", CHANNEL, "--simulate", "--rate", "0.1", "--type", "3,3", "--delta", "nan"],
+            ["augustin", SOURCE, "--alpha", "1.5", "--tol", "nan"],
+            ["simulate", SOURCE, "--task", "pa", "--type", "2,2", "--bins", "2", "--threads", "0"],
+            ["simulate", SOURCE, "--task", "pa", "--type", "2,2", "--bins", "2", "--threads", "-3"],
+        ],
+    )
+    def test_bad_parameter_exits_1_with_message(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_timing_flag_adds_wall_time(self, capsys):
         doc = run_json(capsys, ["info", SOURCE, "--timing"])
         assert "wall_time_s" in doc["manifest"]

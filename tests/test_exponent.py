@@ -9,7 +9,8 @@ from qpamp.errors import InvalidInputError, InvalidParameterError
 from qpamp import divergence as dv
 from qpamp import exponent
 from qpamp.model import CQSource
-from qpamp.qmat import random_density
+from qpamp.qmat import DensityOperator, random_density, tensor
+from qpamp.wiretap import WiretapChannel, allocate_rates, secrecy_exponent
 
 
 def trivial_source(p=(0.3, 0.7), dim=2, seed=0) -> CQSource:
@@ -321,15 +322,21 @@ class TestGridSelfConsistency:
 class TestValidation:
     def test_negative_rate_rejected(self):
         src = trivial_source()
+        joint = DensityOperator(tensor([src.states[0], src.states[0]]))
+        ch = WiretapChannel(prior=np.array([0.5, 0.5]), joint_states=(joint, joint), dims=(2, 2))
         for fn in (
             exponent.sc_achievability_exponent,
             exponent.sc_converse_exponent,
             exponent.pa_achievability_exponent,
             exponent.pa_strong_converse_exponent,
             exponent.dupuis_exponent,
+            lambda _, rate: exponent.iid_exponent_via_types(src, rate, 2),
+            lambda _, rate: secrecy_exponent(ch, rate),
+            lambda _, rate: allocate_rates(ch, rate, 0.05, 2),
         ):
-            with pytest.raises(InvalidParameterError):
-                fn(src, -0.1)
+            for rate in (-0.1, math.nan, math.inf):
+                with pytest.raises(InvalidParameterError):
+                    fn(src, rate)
 
     def test_iid_requires_valid_n(self):
         with pytest.raises(InvalidParameterError):

@@ -299,3 +299,32 @@ class TestThreads:
         serial = d_pa_monte_carlo(src, bins, trials=64, rng_seed=12, threads=1)
         threaded = d_pa_monte_carlo(src, bins, trials=64, rng_seed=12, threads=4)
         assert serial == threaded
+
+    def test_pool_size_capped_by_trials_and_cpus(self, rng, monkeypatch):
+        # a stand-in executor records the pool size and maps serially, so no
+        # thread is started however large the request
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        src = rand_instance(rng, alphabet_size=2, dim=2)
+        size = src.type.class_size()
+        bins = next(b for b in (2, 3, 5) if size % b == 0)
+        for trials in (5, 2):
+            serial = d_pa_monte_carlo(src, bins, trials=trials, rng_seed=4, threads=1)
+            pooled = d_pa_monte_carlo(src, bins, trials=trials, rng_seed=4, threads=64)
+            assert pooled == serial
+        assert sizes == [3, 2]
