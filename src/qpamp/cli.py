@@ -203,6 +203,7 @@ def cmd_exponent(args) -> dict:
     src = model.source_from_json(obj)
     args._digest = digest
     kind = args.kind
+    exponent._check_n(args.n)  # also for dupuis, which takes no n
     kw = dict(points=args.points)
     if kind == "pa-direct":
         rep = exponent.pa_achievability_exponent(

@@ -20,6 +20,7 @@ as-is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -88,6 +89,11 @@ _FAMILIES = {
 def _check_rate(rate: float) -> None:
     if not (math.isfinite(rate) and rate >= 0.0):
         raise InvalidParameterError(f"rate must be finite and >= 0, got {rate}")
+
+
+def _check_n(n: int | None) -> None:
+    if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidParameterError(f"n must be an integer >= 1, got {n}")
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -181,6 +187,7 @@ def sc_achievability_exponent(
     quantum mutual information.
     """
     _check_rate(rate)
+    _check_n(n)
     a, v, curve = _sup_over_alpha(
         src, "augustin", (rate,), points=points, tol=tol, max_iter=max_iter
     )
@@ -214,6 +221,7 @@ def sc_converse_exponent(
     The covering error obeys d_SC >= 1 - 4 (n+1)^|X| exp(-n * exponent).
     """
     _check_rate(rate)
+    _check_n(n)
     a, v, curve = _sup_over_alpha(src, "petz-up", (rate,), points=points)
     return ExponentReport(
         exponent=v,
@@ -254,6 +262,7 @@ def pa_achievability_exponent(
     (1/n) log|T^n_p| in the finite-n form (no prefactor).
     """
     _check_rate(rate)
+    _check_n(n)
     entropy, label = _entropy_term(src, n, finite_n)
     a, v, curve = _sup_over_alpha(
         src, "augustin", (entropy, -rate), points=points, tol=tol, max_iter=max_iter
@@ -296,6 +305,7 @@ def pa_strong_converse_exponent(
     with S as in pa_achievability_exponent; carries the 4 (n+1)^|X| prefactor.
     """
     _check_rate(rate)
+    _check_n(n)
     entropy, label = _entropy_term(src, n, finite_n)
     a, v, curve = _sup_over_alpha(src, "petz-up", (entropy, -rate), points=points)
     return ExponentReport(
@@ -388,8 +398,7 @@ def iid_exponent_via_types(
     on the full grid for the reported curve.
     """
     _check_rate(rate)
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    _check_n(n)
     types = enumerate_n_types(src.alphabet_size, n, cap=cap)
 
     best_val = math.inf

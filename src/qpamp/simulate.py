@@ -1,10 +1,11 @@
 """Regular random binnings and codebooks without repetition on type classes.
 
-Exact paths enumerate every regular binning (as unordered equal-size
-partitions of the type class) or every M-subset; Monte Carlo paths draw
-seeded samples.  The privacy-amplification distance never materializes the
-composite register: the classical-quantum block structure splits the trace
-norm into one term per bin, so only d_B^n-dimensional matrices are touched.
+The c-q block structure splits the privacy-amplification trace norm into the
+mean per-bin distance, and a bin of a uniformly random regular binning is a
+uniform codebook without repetition of size |T|/bins, so exact d_PA is d_SC at
+that size (the PA <-> SC identity).  Every exact expectation is a mean over
+k-subsets streamed one eigvalsh batch at a time; only ``verify_equivalence``
+walks the binnings.  Monte Carlo paths draw seeded samples.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 trial_index), so trials are reproducible and independent of execution order.
@@ -16,7 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ EXACT_ENUMERATION_CAP = 250_000
 _MASK64 = (1 << 64) - 1
 #: complex entries per eigvalsh batch (~32 MB)
 _BATCH_ENTRIES = 2_097_152
+#: ceiling on the bytes of all subset differences one exact expectation streams
+_STREAM_BYTES_CAP = 4 << 30
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -116,14 +119,10 @@ def sample_regular_binning(
     by chunking into equal consecutive blocks.
     """
     size = t.class_size()
-    if num_bins < 1 or size % num_bins:
-        raise InvalidParameterError(
-            f"num_bins={num_bins} does not divide |T| = {size} exactly"
-        )
+    k = _bin_size(size, num_bins)
     domain = tuple(enumerate_type_class(t))
     rng = substream(rng_seed, 0)
     perm = rng.permutation(size)
-    k = size // num_bins
     assignment = np.empty(size, dtype=int)
     assignment[perm] = np.arange(size) // k
     return Binning(domain=domain, num_bins=num_bins, assignment=tuple(int(z) for z in assignment))
@@ -169,22 +168,24 @@ def _sequence_state_stack(src: ConstantTypeSource, domain) -> np.ndarray:
     return out
 
 
-def _half_trace_norms(stack: np.ndarray) -> np.ndarray:
-    """0.5 ||.||_1 for a stack of Hermitian matrices, batched eigvalsh."""
-    dim = stack.shape[-1]
-    chunk = max(1, _BATCH_ENTRIES // (dim * dim))
-    out = np.empty(stack.shape[0])
-    for lo in range(0, stack.shape[0], chunk):
-        part = stack[lo : lo + chunk]
-        out[lo : lo + chunk] = 0.5 * np.abs(np.linalg.eigvalsh(part)).sum(axis=-1)
-    return out
-
-
 def _prepare(src: ConstantTypeSource, cap: int):
     domain = tuple(enumerate_type_class(src.type, cap=cap))
     states = _sequence_state_stack(src, domain)
     marginal = states.mean(axis=0)
     return domain, states, marginal
+
+
+def _bin_size(size: int, num_bins: int, cap: int | None = None) -> int:
+    """|T| / num_bins for a regular binning; refuses more than `cap` binnings."""
+    if num_bins < 1 or size % num_bins:
+        raise InvalidParameterError(
+            f"num_bins={num_bins} does not divide |T| = {size} exactly"
+        )
+    if cap is not None and (n_partitions := _partition_count(size, num_bins)) > cap:
+        raise CapacityError(
+            f"{n_partitions} regular binnings exceed the enumeration cap {cap}"
+        )
+    return size // num_bins
 
 
 def _partition_count(size: int, num_bins: int) -> int:
@@ -209,6 +210,42 @@ def _equal_partitions(elems: tuple[int, ...], k: int) -> Iterator[tuple[tuple[in
             yield (block,) + sub
 
 
+def _check_stream_bytes(src: ConstantTypeSource, k: int) -> None:
+    """Refuse before allocating when the k-subset differences pass the ceiling."""
+    n_subsets, dim = math.comb(src.type.class_size(), k), src.base.dim_b**src.n
+    if n_subsets * dim * dim * 16 > _STREAM_BYTES_CAP:
+        raise CapacityError(
+            f"{n_subsets} subsets of {dim}x{dim} states exceed the "
+            f"{_STREAM_BYTES_CAP >> 30} GiB enumeration ceiling"
+        )
+
+
+def _subset_distances(states: np.ndarray, center: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """0.5 ||avg(B) - center||_1 for every k-subset B, in ``combinations`` order.
+
+    Yields one eigvalsh batch at a time.  Subset sums accumulate one position
+    at a time, an eighth of a batch per gather, so about 1.1 batches are held,
+    never a (batch, k, D, D) gather.
+    """
+    size, dim = states.shape[0], states.shape[-1]
+    chunk = min(math.comb(size, k), max(1, _BATCH_ENTRIES // (dim * dim)))
+    step = -(-chunk // 8)
+    acc, part = np.empty((chunk, dim, dim), complex), np.empty((step, dim, dim), complex)
+    combos = combinations(range(size), k)
+    while idx := list(islice(combos, chunk)):
+        idx = np.array(idx)
+        sums = acc[: len(idx)]
+        # mode="clip": the default "raise" buffers a copy of every gather
+        for lo in range(0, len(idx), step):
+            rows, out = idx[lo : lo + step], sums[lo : lo + step]
+            np.take(states, rows[:, 0], axis=0, out=out, mode="clip")
+            for j in range(1, k):
+                out += np.take(states, rows[:, j], axis=0, out=part[: len(rows)], mode="clip")
+        sums /= k
+        sums -= center
+        yield 0.5 * np.abs(np.linalg.eigvalsh(sums)).sum(axis=-1)
+
+
 def d_sc_exact(
     src: ConstantTypeSource, M: int, cap: int = EXACT_ENUMERATION_CAP
 ) -> float:
@@ -223,29 +260,9 @@ def d_sc_exact(
     n_subsets = math.comb(size, M)
     if n_subsets > cap:
         raise CapacityError(f"{n_subsets} codebooks exceed the enumeration cap {cap}")
+    _check_stream_bytes(src, M)
     _, states, marginal = _prepare(src, cap=max(cap, size))
-    total = 0.0
-    combos = combinations(range(size), M)
-    dim = states.shape[-1]
-    chunk = max(1, _BATCH_ENTRIES // (dim * dim))
-    buf: list[np.ndarray] = []
-    for sel in combos:
-        buf.append(states[list(sel)].mean(axis=0) - marginal)
-        if len(buf) == chunk:
-            total += float(_half_trace_norms(np.stack(buf)).sum())
-            buf.clear()
-    if buf:
-        total += float(_half_trace_norms(np.stack(buf)).sum())
-    return total / n_subsets
-
-
-def _subset_distances(states: np.ndarray, marginal: np.ndarray, k: int) -> dict:
-    """Trace distance to the marginal for every k-subset average state."""
-    size = states.shape[0]
-    subsets = list(combinations(range(size), k))
-    diffs = np.stack([states[list(s)].mean(axis=0) - marginal for s in subsets])
-    vals = _half_trace_norms(diffs)
-    return {s: float(v) for s, v in zip(subsets, vals)}
+    return sum(float(d.sum()) for d in _subset_distances(states, marginal, M)) / n_subsets
 
 
 def d_pa_exact(
@@ -253,30 +270,22 @@ def d_pa_exact(
 ) -> float:
     """Exact expected privacy-amplification distance over all regular binnings.
 
-    The c-q block structure reduces the composite trace norm to the average of
-    per-bin trace distances, so the expectation runs over unordered equal-size
-    partitions of the type class with memoized per-subset distances.
+    The composite trace norm is the mean per-bin distance, and each bin of a
+    uniformly random regular binning is a uniform (|T|/num_bins)-subset, so
+    this is d_sc_exact at codebook size |T|/num_bins; no binning is walked.
+    The cap counts regular binnings; the subset byte ceiling applies too.
     """
     size = src.type.class_size()
-    if num_bins < 1 or size % num_bins:
-        raise InvalidParameterError(
-            f"num_bins={num_bins} does not divide |T| = {size} exactly"
-        )
-    k = size // num_bins
-    n_partitions = _partition_count(size, num_bins)
-    if n_partitions > cap:
-        raise CapacityError(
-            f"{n_partitions} regular binnings exceed the enumeration cap {cap}"
-        )
-    _, states, marginal = _prepare(src, cap=max(cap, size))
-    dist = _subset_distances(states, marginal, k)
-    total = 0.0
-    count = 0
-    for blocks in _equal_partitions(tuple(range(size)), k):
-        total += sum(dist[b] for b in blocks) / num_bins
-        count += 1
-    assert count == n_partitions
-    return total / count
+    k = _bin_size(size, num_bins, cap)
+    # the binning count is the gate; the k-subsets may be up to num_bins times more
+    return d_sc_exact(src, k, cap=max(cap, math.comb(size, k)))
+
+
+def _check_trials_threads(trials: int, threads: int) -> None:
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
 
 
 def _mc_run(
@@ -285,10 +294,7 @@ def _mc_run(
     trial_fn: Callable[[np.random.Generator], float],
     threads: int = 1,
 ) -> SimEstimate:
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+    _check_trials_threads(trials, threads)
 
     def one(i: int) -> float:
         return trial_fn(substream(rng_seed, i))
@@ -339,18 +345,14 @@ def d_pa_monte_carlo(
 ) -> SimEstimate:
     """Monte Carlo estimate of d_pa_exact over sampled regular binnings."""
     size = src.type.class_size()
-    if num_bins < 1 or size % num_bins:
-        raise InvalidParameterError(
-            f"num_bins={num_bins} does not divide |T| = {size} exactly"
-        )
-    k = size // num_bins
+    k = _bin_size(size, num_bins)
     _, states, marginal = _prepare(src, cap=cap)
 
     def trial(rng: np.random.Generator) -> float:
         perm = rng.permutation(size)
         bins = np.sort(perm.reshape(num_bins, k), axis=1)
         diffs = states[bins].mean(axis=1) - marginal
-        return float(_half_trace_norms(diffs).mean())
+        return float((0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)).mean())
 
     return _mc_run(trials, rng_seed, trial, threads)
 
@@ -358,19 +360,23 @@ def d_pa_monte_carlo(
 def verify_equivalence(
     src: ConstantTypeSource, num_bins: int, cap: int = EXACT_ENUMERATION_CAP
 ) -> EquivalenceReport:
-    """Exact check of the PA <-> soft-covering equivalence.
+    """Exact check of the PA <-> soft-covering equivalence by two routes.
 
-    Computes d_PA at rate (1/n) log num_bins and d_SC at codebook size
-    |T|/num_bins.  The two are provably equal (a random bin is marginally a
-    uniform codebook without repetition), so any gap is floating-point error.
+    d_PA walks every regular binning (unordered equal-size partition) and d_SC
+    is d_sc_exact at codebook size |T|/num_bins; one subset pass feeds both.
+    The two are provably equal, so any gap is floating-point error.
     """
     size = src.type.class_size()
-    if num_bins < 1 or size % num_bins:
-        raise InvalidParameterError(
-            f"num_bins={num_bins} does not divide |T| = {size} exactly"
-        )
-    d_pa = d_pa_exact(src, num_bins, cap=cap)
-    d_sc = d_sc_exact(src, size // num_bins, cap=cap)
+    k = _bin_size(size, num_bins, cap)
+    _check_stream_bytes(src, k)
+    _, states, marginal = _prepare(src, cap=max(cap, size))
+    chunks = list(_subset_distances(states, marginal, k))
+    d_sc = sum(float(d.sum()) for d in chunks) / math.comb(size, k)
+    dist = dict(zip(combinations(range(size), k), np.concatenate(chunks).tolist()))
+    d_pa = 0.0
+    for blocks in _equal_partitions(tuple(range(size)), k):
+        d_pa += sum(dist[b] for b in blocks) / num_bins
+    d_pa /= _partition_count(size, num_bins)
     return EquivalenceReport(d_pa=d_pa, d_sc=d_sc, gap=abs(d_pa - d_sc))
 
 

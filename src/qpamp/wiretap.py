@@ -17,10 +17,11 @@ import numpy as np
 
 from . import divergence as dv
 from . import simulate
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import CapacityError, InvalidInputError, InvalidParameterError
 from .exponent import (
     GRID_POINTS,
     ExponentReport,
+    _check_n,
     _check_rate,
     _entropy_term,
     _sup_over_alpha,
@@ -192,6 +193,7 @@ def allocate_rates(
     if not (math.isfinite(delta) and delta > 0.0):
         raise InvalidParameterError(f"delta must be finite and positive, got {delta}")
     _check_rate(rate)
+    _check_n(n)
     bob = bob_source(ch)
     mutual_b = dv.holevo_mutual_info(bob)
     if rate > mutual_b - delta:
@@ -254,6 +256,7 @@ def simulate_leakage(
     """
     if t.alphabet_size != ch.alphabet_size:
         raise InvalidInputError("type alphabet does not match the channel")
+    simulate._check_trials_threads(trials, threads)
     size = t.class_size()
     n = t.n
     target_joint = math.exp(n * (alloc.R + alloc.R2))
@@ -270,12 +273,13 @@ def simulate_leakage(
     eve = ConstantTypeSource.from_states(eve_source(ch).states, t)
 
     def pa_term(num_bins: int):
-        if simulate._partition_count(size, num_bins) <= cap:
+        try:
             return simulate.d_pa_exact(eve, num_bins, cap=cap), True
-        est = simulate.d_pa_monte_carlo(
-            eve, num_bins, trials, rng_seed, cap=cap, threads=threads
-        )
-        return est, False
+        except CapacityError:
+            est = simulate.d_pa_monte_carlo(
+                eve, num_bins, trials, rng_seed, cap=cap, threads=threads
+            )
+            return est, False
 
     pa_joint, joint_exact = pa_term(bins_joint)
     pa_key, key_exact = pa_term(bins_key)
@@ -285,7 +289,7 @@ def simulate_leakage(
 
     direct = None
     if joint_exact and key_exact:
-        direct = _direct_leakage_exact(eve, m, ell, cap=_DIRECT_CAP)
+        direct = _direct_leakage_exact(eve, m, ell)
     return LeakageReport(
         pa_joint=pa_joint,
         pa_key=pa_key,
@@ -298,36 +302,29 @@ def simulate_leakage(
     )
 
 
-def _direct_leakage_exact(
-    eve: ConstantTypeSource, m: int, ell: int, cap: int = _DIRECT_CAP
-) -> float | None:
-    """Exact E over (f, k) of Eve's per-key leakage, by full enumeration.
+def _direct_leakage_exact(eve: ConstantTypeSource, m: int, ell: int) -> float | None:
+    """Exact E over (f, k) of Eve's per-key leakage.
 
-    For a fixed key k, the accessible slice is a uniformly random (m*ell)-
+    For a fixed key k, the accessible slice S is a uniformly random (m*ell)-
     subset of the type class, partitioned uniformly into m message bins of
-    ell sequences; the leakage is the average distance of a bin average to
-    the slice average.
+    ell sequences; the leakage is the mean distance of a bin average to the
+    slice average.  A bin of a uniform partition of S is a uniform ell-subset
+    of S, so the expectation over partitions is the mean over ell-subsets B
+    of S of 0.5 ||avg(B) - avg(S)||_1.  None when the (slice, partition) pairs
+    that expectation is defined over exceed ``_DIRECT_CAP``.
     """
-    from .model import enumerate_type_class
-
     size = eve.type.class_size()
     slice_size = m * ell
     n_slices = math.comb(size, slice_size)
-    n_parts = simulate._partition_count(slice_size, m)
-    if n_slices * n_parts > cap:
+    if n_slices * simulate._partition_count(slice_size, m) > _DIRECT_CAP:
         return None
-    states = simulate._sequence_state_stack(eve, enumerate_type_class(eve.type))
+    _, states, _ = simulate._prepare(eve, cap=size)
     total = 0.0
-    count = 0
     for subset in combinations(range(size), slice_size):
-        slice_avg = states[list(subset)].mean(axis=0)
-        for blocks in simulate._equal_partitions(subset, ell):
-            diffs = np.stack(
-                [states[list(b)].mean(axis=0) - slice_avg for b in blocks]
-            )
-            total += float(simulate._half_trace_norms(diffs).mean())
-            count += 1
-    return total / count
+        sub = states[list(subset)]
+        for d in simulate._subset_distances(sub, sub.mean(axis=0), ell):
+            total += float(d.sum())
+    return total / (n_slices * math.comb(slice_size, ell))
 
 
 # -- JSON wire format ----------------------------------------------------------

@@ -251,6 +251,14 @@ class TestErrors:
             ["augustin", SOURCE, "--alpha", "1.5", "--tol", "nan"],
             ["simulate", SOURCE, "--task", "pa", "--type", "2,2", "--bins", "2", "--threads", "0"],
             ["simulate", SOURCE, "--task", "pa", "--type", "2,2", "--bins", "2", "--threads", "-3"],
+            ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1", "--n", "-5"],
+            ["exponent", SOURCE, "--kind", "pa-converse", "--rate", "0.1", "--n", "0"],
+            ["exponent", SOURCE, "--kind", "sc-direct", "--rate", "0.1", "--n", "-1"],
+            ["exponent", SOURCE, "--kind", "dupuis", "--rate", "0.1", "--n", "-5"],
+            ["wiretap", CHANNEL, "--simulate", "--rate", "0.05", "--type", "2,2",
+             "--delta", "0.06", "--threads", "0"],
+            ["wiretap", CHANNEL, "--simulate", "--rate", "0.05", "--type", "2,2",
+             "--delta", "0.06", "--trials", "0"],
         ],
     )
     def test_bad_parameter_exits_1_with_message(self, capsys, argv):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -211,7 +212,7 @@ class TestPrivacyAmplificationDistance:
         for blocks in simulate._equal_partitions(tuple(range(size)), k):
             # blockwise value for this binning
             per_bin = np.stack([states[list(b)].mean(axis=0) for b in blocks])
-            blockwise = float(simulate._half_trace_norms(per_bin - marginal).mean())
+            blockwise = float(np.mean([0.5 * trace_norm(p - marginal) for p in per_bin]))
             # full composite: sum_z |z><z| x (1/|T|) sum_bin rho  vs  uniform x marginal
             lhs = block_diag(*[states[list(b)].sum(axis=0) / size for b in blocks])
             rhs = block_diag(*[marginal / num_bins for _ in blocks])
@@ -228,6 +229,46 @@ class TestPrivacyAmplificationDistance:
         with pytest.raises(CapacityError):
             d_pa_exact(src, bins, cap=0)
 
+    def test_streams_in_bounded_memory(self, rng):
+        # (4,2) at d_B = 2: 126,126 binnings, 3,003 five-subsets of 64x64
+        # states; stacking every subset at once peaked near 400 MB
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=6, counts=(4, 2)))
+        tracemalloc.start()
+        try:
+            value = d_pa_exact(src, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= value <= 1.0
+        assert peak < 100e6
+
+    def test_byte_ceiling_refuses_before_allocating(self, rng):
+        # (3,3) at d_B = 2 with 2 bins: within the binning cap (92,378), but
+        # its 184,756 ten-subsets of 64x64 states would stream 12.1 GB
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=6, counts=(3, 3)))
+        assert simulate._partition_count(20, 2) <= simulate.EXACT_ENUMERATION_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                d_pa_exact(src, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_refuses_exactly_over_the_binning_cap(self, rng):
+        # the gate counts binnings, not the up to num_bins times more subsets
+        src = rand_instance(rng, alphabet_size=2, dim=2)
+        size = src.type.class_size()
+        bins = next(b for b in (2, 3, 5) if size % b == 0)
+        count = simulate._partition_count(size, bins)
+        assert math.comb(size, size // bins) > count
+        assert d_pa_exact(src, bins, cap=count) == d_sc_exact(src, size // bins)
+        with pytest.raises(CapacityError):
+            d_pa_exact(src, bins, cap=count - 1)
+
 
 class TestEquivalence:
     def test_orthogonal_example(self):
@@ -241,6 +282,12 @@ class TestEquivalence:
         rep = verify_equivalence(src, 1)
         assert rep.d_pa == pytest.approx(0.0, abs=1e-14)
         assert rep.gap <= 1e-14
+
+    def test_d_sc_is_d_sc_exact(self, rng):
+        src = rand_instance(rng, alphabet_size=2, dim=2)
+        size = src.type.class_size()
+        for bins in (b for b in range(1, size + 1) if size % b == 0):
+            assert verify_equivalence(src, bins).d_sc == d_sc_exact(src, size // bins)
 
     def test_random_qubits_all_divisors(self, rng):
         # |T| = 6 instance, bins in {2, 3}

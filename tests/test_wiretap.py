@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,16 @@ import pytest
 import oracles
 from qpamp.errors import InvalidInputError, InvalidParameterError
 from qpamp import divergence as dv
-from qpamp import exponent, simulate
-from qpamp.model import TypeDistribution
-from qpamp.qmat import DensityOperator, HermitianOperator, random_density, random_pure, tensor
+from qpamp import exponent, simulate, wiretap
+from qpamp.model import ConstantTypeSource, TypeDistribution
+from qpamp.qmat import (
+    DensityOperator,
+    HermitianOperator,
+    random_density,
+    random_pure,
+    tensor,
+    trace_norm,
+)
 from qpamp.wiretap import (
     RateAllocation,
     WiretapChannel,
@@ -228,6 +236,29 @@ class TestSimulateLeakage:
         assert rep.bins_joint == 6 and rep.bins_key == 2
         assert rep.direct is not None
         assert rep.direct <= rep.bound_sum + 1e-10
+
+    @pytest.mark.parametrize("m, ell", [(3, 1), (2, 2), (3, 2), (2, 3)])
+    def test_direct_leakage_matches_partition_walk(self, rng, m, ell):
+        # the criterion-10 triangle instance is (m, ell) = (3, 1); the
+        # reference walks every (slice, partition) pair, as the definition reads
+        bob = [diag_dens([0.95, 0.05]), diag_dens([0.1, 0.9])]
+        eve = [random_density(rng, 2, mix=0.6) for _ in range(2)]
+        ch = product_channel(bob, eve, [0.5, 0.5])
+        t = TypeDistribution(n=4, counts=(2, 2))
+        eve_src = ConstantTypeSource.from_states(eve_source(ch).states, t)
+        _, states, _ = simulate._prepare(eve_src, cap=100)
+        size = t.class_size()
+        total = 0.0
+        count = 0
+        for subset in itertools.combinations(range(size), m * ell):
+            slice_avg = states[list(subset)].mean(axis=0)
+            for blocks in simulate._equal_partitions(subset, ell):
+                total += np.mean(
+                    [0.5 * trace_norm(states[list(b)].mean(axis=0) - slice_avg) for b in blocks]
+                )
+                count += 1
+        direct = wiretap._direct_leakage_exact(eve_src, m, ell)
+        assert direct == pytest.approx(total / count, abs=1e-13)
 
     def test_realized_rates_multiply_out(self, rng):
         ch = useless_eve_channel(rng)
