@@ -398,6 +398,8 @@ def iid_exponent_via_types(
     on the full grid for the reported curve.
     """
     _check_rate(rate)
+    if n is None:
+        raise InvalidParameterError("the i.i.d. exponent requires a blocklength n")
     _check_n(n)
     types = enumerate_n_types(src.alphabet_size, n, cap=cap)
 

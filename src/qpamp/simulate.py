@@ -4,8 +4,14 @@ The c-q block structure splits the privacy-amplification trace norm into the
 mean per-bin distance, and a bin of a uniformly random regular binning is a
 uniform codebook without repetition of size |T|/bins, so exact d_PA is d_SC at
 that size (the PA <-> SC identity).  Every exact expectation is a mean over
-k-subsets streamed one eigvalsh batch at a time; only ``verify_equivalence``
-walks the binnings.  Monte Carlo paths draw seeded samples.
+k-subsets streamed one eigvalsh batch at a time.  Permuting sequence positions
+is a unitary on the tensor factors that fixes the type-class marginal, so a
+subset's distance is constant on its S_n-orbit: ``d_sc_exact`` (hence
+``d_pa_exact``) and the direct wiretap leakage diagonalise one representative
+per orbit, weighted by the orbit size.  ``verify_equivalence`` stays the plain
+certificate: it streams every subset and walks every binning.  The caps are
+checked on the full subset count before any orbit is labelled.  Monte Carlo
+paths draw seeded samples.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 trial_index), so trials are reproducible and independent of execution order.
@@ -17,8 +23,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Iterator, Sequence
+from itertools import combinations, compress, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,28 +226,83 @@ def _check_stream_bytes(src: ConstantTypeSource, k: int) -> None:
         )
 
 
-def _subset_distances(states: np.ndarray, center: np.ndarray, k: int) -> Iterator[np.ndarray]:
-    """0.5 ||avg(B) - center||_1 for every k-subset B, in ``combinations`` order.
+def _subset_orbits(domain: Sequence[tuple[int, ...]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per S_n-orbit of the k-subsets of `domain`, and its size.
 
-    Yields one eigvalsh batch at a time.  Subset sums accumulate one position
-    at a time, an eighth of a batch per gather, so about 1.1 batches are held,
+    `domain` is a type class in lexicographic order.  The orbits are the
+    connected components of the graph joining each subset to its images
+    under the n-1 adjacent position swaps, which generate S_n; min-label
+    propagation with pointer jumping labels every subset by the smallest
+    ``combinations`` rank in its orbit.  Holds (n-1) image ranks and one
+    label per subset, never a matrix.  Representatives come in
+    ``combinations`` order, as index rows of shape (orbits, k).
+    """
+    size, n = len(domain), len(domain[0])
+    total = math.comb(size, k)
+    position = {seq: i for i, seq in enumerate(domain)}
+    swaps = [
+        np.array([position[s[:i] + (s[i + 1], s[i]) + s[i + 2 :]] for s in domain])
+        for i in range(n - 1)
+    ]
+    # lex rank of a sorted row b: total-1 - sum_j C(c_j, j+1), c = (size-1-b) ascending;
+    # the terms used are at most `total`, so clipping keeps int64 exact
+    binom = np.zeros((size, k + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for m in range(1, k + 1):
+        np.minimum(np.cumsum(binom[:-1, m - 1]), total, out=binom[1:, m])
+    cols = np.arange(1, k + 1)
+    # int32 ranks: the byte ceiling and the direct-leakage cap keep C(|T|, k) below 2**28
+    images = np.empty((len(swaps), total), dtype=np.int32)
+    combos, lo = combinations(range(size), k), 0
+    # small chunks keep the transient index arrays near 128 KB each
+    while rows := list(islice(combos, max(1, (1 << 14) // k))):
+        rows = np.array(rows)
+        for img, perm in zip(images, swaps):
+            moved = perm[rows]
+            moved.sort(axis=1)
+            c = size - 1 - moved[:, ::-1]
+            img[lo : lo + len(rows)] = total - 1 - binom[c, cols].sum(axis=1)
+        lo += len(rows)
+    labels = np.arange(total)
+    while True:
+        prev = labels.copy()
+        for img in images:
+            np.minimum(labels, labels[img], out=labels)
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    is_rep = labels == np.arange(total)
+    reps = np.array(list(compress(combinations(range(size), k), is_rep)))
+    return reps, np.bincount(labels, minlength=total)[is_rep]
+
+
+def _subset_distances(
+    states: np.ndarray, center: np.ndarray, rows: Iterable[Sequence[int]]
+) -> Iterator[np.ndarray]:
+    """0.5 ||avg(B) - center||_1 for every index row B of `rows`, in order.
+
+    ``combinations(range(len(states)), k)`` streams every k-subset; the
+    representatives of ``_subset_orbits`` stream one per orbit.  Yields one
+    eigvalsh batch at a time.  Subset sums accumulate one position at a
+    time, an eighth of a batch per gather, so about 1.1 batches are held,
     never a (batch, k, D, D) gather.
     """
-    size, dim = states.shape[0], states.shape[-1]
-    chunk = min(math.comb(size, k), max(1, _BATCH_ENTRIES // (dim * dim)))
-    step = -(-chunk // 8)
-    acc, part = np.empty((chunk, dim, dim), complex), np.empty((step, dim, dim), complex)
-    combos = combinations(range(size), k)
-    while idx := list(islice(combos, chunk)):
+    dim = states.shape[-1]
+    rows, chunk, acc = iter(rows), max(1, _BATCH_ENTRIES // (dim * dim)), None
+    while idx := list(islice(rows, chunk)):
         idx = np.array(idx)
+        if acc is None:  # sized by the first batch, so short streams stay small
+            step = -(-len(idx) // 8)
+            acc = np.empty((len(idx), dim, dim), complex)
+            part = np.empty((step, dim, dim), complex)
         sums = acc[: len(idx)]
         # mode="clip": the default "raise" buffers a copy of every gather
         for lo in range(0, len(idx), step):
-            rows, out = idx[lo : lo + step], sums[lo : lo + step]
-            np.take(states, rows[:, 0], axis=0, out=out, mode="clip")
-            for j in range(1, k):
-                out += np.take(states, rows[:, j], axis=0, out=part[: len(rows)], mode="clip")
-        sums /= k
+            block, out = idx[lo : lo + step], sums[lo : lo + step]
+            np.take(states, block[:, 0], axis=0, out=out, mode="clip")
+            for j in range(1, idx.shape[1]):
+                out += np.take(states, block[:, j], axis=0, out=part[: len(block)], mode="clip")
+        sums /= idx.shape[1]
         sums -= center
         yield 0.5 * np.abs(np.linalg.eigvalsh(sums)).sum(axis=-1)
 
@@ -252,7 +313,8 @@ def d_sc_exact(
     """Exact expected trace distance of the M-codeword average to the marginal.
 
     Averages over all M-subsets of the type class (uniform codebook without
-    repetition).
+    repetition): the distance of one representative per S_n-orbit, weighted
+    by the orbit size.  The cap and the byte ceiling count every M-subset.
     """
     size = src.type.class_size()
     if not 1 <= M <= size:
@@ -261,8 +323,10 @@ def d_sc_exact(
     if n_subsets > cap:
         raise CapacityError(f"{n_subsets} codebooks exceed the enumeration cap {cap}")
     _check_stream_bytes(src, M)
-    _, states, marginal = _prepare(src, cap=max(cap, size))
-    return sum(float(d.sum()) for d in _subset_distances(states, marginal, M)) / n_subsets
+    domain, states, marginal = _prepare(src, cap=max(cap, size))
+    reps, sizes = _subset_orbits(domain, M)
+    dists = np.concatenate(list(_subset_distances(states, marginal, reps)))
+    return float(dists @ sizes) / n_subsets
 
 
 def d_pa_exact(
@@ -370,7 +434,7 @@ def verify_equivalence(
     k = _bin_size(size, num_bins, cap)
     _check_stream_bytes(src, k)
     _, states, marginal = _prepare(src, cap=max(cap, size))
-    chunks = list(_subset_distances(states, marginal, k))
+    chunks = list(_subset_distances(states, marginal, combinations(range(size), k)))
     d_sc = sum(float(d.sum()) for d in chunks) / math.comb(size, k)
     dist = dict(zip(combinations(range(size), k), np.concatenate(chunks).tolist()))
     d_pa = 0.0

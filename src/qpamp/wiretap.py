@@ -310,20 +310,24 @@ def _direct_leakage_exact(eve: ConstantTypeSource, m: int, ell: int) -> float | 
     ell sequences; the leakage is the mean distance of a bin average to the
     slice average.  A bin of a uniform partition of S is a uniform ell-subset
     of S, so the expectation over partitions is the mean over ell-subsets B
-    of S of 0.5 ||avg(B) - avg(S)||_1.  None when the (slice, partition) pairs
-    that expectation is defined over exceed ``_DIRECT_CAP``.
+    of S of 0.5 ||avg(B) - avg(S)||_1.  That value is the same on every
+    S_n-orbit of slices, so one slice per orbit is walked, weighted by the
+    orbit size.  None when the (slice, partition) pairs that expectation is
+    defined over exceed ``_DIRECT_CAP``.
     """
     size = eve.type.class_size()
     slice_size = m * ell
     n_slices = math.comb(size, slice_size)
     if n_slices * simulate._partition_count(slice_size, m) > _DIRECT_CAP:
         return None
-    _, states, _ = simulate._prepare(eve, cap=size)
+    domain, states, _ = simulate._prepare(eve, cap=size)
     total = 0.0
-    for subset in combinations(range(size), slice_size):
-        sub = states[list(subset)]
-        for d in simulate._subset_distances(sub, sub.mean(axis=0), ell):
-            total += float(d.sum())
+    for subset, weight in zip(*simulate._subset_orbits(domain, slice_size)):
+        sub = states[subset]
+        blocks = combinations(range(slice_size), ell)
+        total += int(weight) * sum(
+            float(d.sum()) for d in simulate._subset_distances(sub, sub.mean(axis=0), blocks)
+        )
     return total / (n_slices * math.comb(slice_size, ell))
 
 

@@ -64,6 +64,15 @@ def test_criterion_1_equivalence_exactness(sweep):
     )
 
 
+def test_orbit_reduction_matches_plain_route(sweep):
+    # rep.d_sc streams every subset; d_sc_exact diagonalises one per S_n-orbit
+    worst = max(
+        abs(d_sc - simulate.d_sc_exact(inst, inst.type.class_size() // bins))
+        for _, inst, bins, _, d_sc in sweep["rows"]
+    )
+    assert worst <= 1e-12, f"orbit-reduced d_SC is {worst:.2e} from the plain route"
+
+
 def test_criterion_2_pa_achievability_sandwich(sweep):
     violations = 0
     margin_f = math.inf

@@ -271,3 +271,20 @@ class TestErrors:
         assert "wall_time_s" in doc["manifest"]
         doc2 = run_json(capsys, ["info", SOURCE])
         assert "wall_time_s" not in doc2["manifest"]
+
+
+class TestColdStart:
+    def test_import_does_not_load_csgraph(self):
+        # the orbit labelling is numpy-only; scipy.sparse.csgraph would add
+        # about 90 ms to every CLI start
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        probe = "import sys, qpamp.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -342,6 +342,10 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             exponent.iid_exponent_via_types(trivial_source(), 0.1, 0)
 
+    def test_iid_requires_n(self):
+        with pytest.raises(InvalidParameterError, match="blocklength"):
+            exponent.iid_exponent_via_types(trivial_source(), 0.1, None)
+
     def test_iid_type_enumeration_cap(self):
         from qpamp.errors import CapacityError
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.linalg import block_diag
 
 from conftest import rand_instance
 from qpamp.errors import CapacityError, InvalidParameterError
-from qpamp.model import ConstantTypeSource, TypeDistribution
+from qpamp.model import ConstantTypeSource, TypeDistribution, enumerate_type_class
 from qpamp.qmat import DensityOperator, HermitianOperator, random_density, trace_norm
 from qpamp import simulate
 from qpamp.simulate import (
@@ -243,6 +244,24 @@ class TestPrivacyAmplificationDistance:
         assert 0.0 <= value <= 1.0
         assert peak < 100e6
 
+    def test_plain_stream_in_bounded_memory(self, rng):
+        # every one of the 3,003 five-subsets of (4,2) at d_B = 2 through the
+        # streaming kernel: 197 MB of 64x64 differences, held one batch at a time
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=6, counts=(4, 2)))
+        _, stack, marginal = simulate._prepare(src, cap=100)
+        tracemalloc.start()
+        try:
+            count = sum(
+                len(d)
+                for d in simulate._subset_distances(stack, marginal, combinations(range(15), 5))
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 3003
+        assert peak < 100e6
+
     def test_byte_ceiling_refuses_before_allocating(self, rng):
         # (3,3) at d_B = 2 with 2 bins: within the binning cap (92,378), but
         # its 184,756 ten-subsets of 64x64 states would stream 12.1 GB
@@ -270,6 +289,88 @@ class TestPrivacyAmplificationDistance:
             d_pa_exact(src, bins, cap=count - 1)
 
 
+def burnside_orbit_count(counts, k):
+    """k-subsets of the type class up to position permutations, by Burnside.
+
+    A permutation of positions fixes a k-subset iff the subset is a union of
+    its cycles on the type class; average those counts over S_n.
+    """
+    n = sum(counts)
+    seqs = sorted(set(permutations([x for x, c in enumerate(counts) for _ in range(c)])))
+    index = {s: i for i, s in enumerate(seqs)}
+    fixed_total = 0
+    for g in permutations(range(n)):
+        image = [index[tuple(s[g[i]] for i in range(n))] for s in seqs]
+        seen, poly = set(), [1] + [0] * k
+        for start in range(len(seqs)):
+            if start in seen:
+                continue
+            length, j = 0, start
+            while j not in seen:
+                seen.add(j)
+                j, length = image[j], length + 1
+            poly = [poly[i] + (poly[i - length] if i >= length else 0) for i in range(k + 1)]
+        fixed_total += poly[k]
+    assert fixed_total % math.factorial(n) == 0
+    return fixed_total // math.factorial(n)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize(
+        "counts, k, orbits",
+        [((3, 3), 2, 3), ((3, 3), 5, 43), ((4, 2), 5, 15), ((2, 1, 1), 6, 48), ((5, 1), 1, 1)],
+    )
+    def test_orbit_count_matches_burnside(self, counts, k, orbits):
+        t = TypeDistribution(n=sum(counts), counts=counts)
+        reps, sizes = simulate._subset_orbits(enumerate_type_class(t), k)
+        assert burnside_orbit_count(counts, k) == orbits
+        assert len(reps) == len(sizes) == orbits
+        assert sizes.sum() == math.comb(t.class_size(), k)
+
+    def test_representatives_and_sizes_match_brute_force_orbits(self):
+        # every image of each representative under all of S_4
+        t = TypeDistribution(n=4, counts=(2, 1, 1))
+        domain = enumerate_type_class(t)
+        index = {s: i for i, s in enumerate(domain)}
+        reps, sizes = simulate._subset_orbits(domain, 3)
+        covered = set()
+        for row, size in zip(reps, sizes):
+            assert list(row) == sorted(set(row))
+            orbit = {
+                tuple(sorted(index[tuple(domain[i][g[p]] for p in range(4))] for i in row))
+                for g in permutations(range(4))
+            }
+            assert len(orbit) == size and not orbit & covered
+            covered |= orbit
+        assert len(covered) == math.comb(len(domain), 3)
+
+    def test_d_sc_exact_diagonalises_one_matrix_per_orbit(self, rng, monkeypatch):
+        # (3,3) at d_B = 2, M = 5: 15,504 codebooks in 43 orbits
+        diagonalised = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            diagonalised.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=6, counts=(3, 3)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        value = d_sc_exact(src, 5)
+        assert sum(diagonalised) == 43
+        assert 0.0 <= value <= 1.0
+
+    def test_orbit_sum_matches_plain_stream(self, rng):
+        for _ in range(6):
+            src = rand_instance(rng)
+            size = src.type.class_size()
+            _, states, marginal = simulate._prepare(src, cap=100)
+            for m in range(1, size + 1):
+                stream = simulate._subset_distances(states, marginal, combinations(range(size), m))
+                plain = np.concatenate(list(stream))
+                assert d_sc_exact(src, m) == pytest.approx(plain.mean(), abs=1e-12)
+
+
 class TestEquivalence:
     def test_orthogonal_example(self):
         rep = verify_equivalence(orthogonal_source(), 2)
@@ -286,8 +387,11 @@ class TestEquivalence:
     def test_d_sc_is_d_sc_exact(self, rng):
         src = rand_instance(rng, alphabet_size=2, dim=2)
         size = src.type.class_size()
+        # plain stream versus one representative per orbit: equal up to rounding
         for bins in (b for b in range(1, size + 1) if size % b == 0):
-            assert verify_equivalence(src, bins).d_sc == d_sc_exact(src, size // bins)
+            assert verify_equivalence(src, bins).d_sc == pytest.approx(
+                d_sc_exact(src, size // bins), abs=1e-12
+            )
 
     def test_random_qubits_all_divisors(self, rng):
         # |T| = 6 instance, bins in {2, 3}
