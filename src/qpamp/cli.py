@@ -148,8 +148,11 @@ def _report_dict(rep: exponent.ExponentReport) -> dict:
 def _write_curve(path: str, curve) -> None:
     lines = ["alpha,value"]
     lines += [f"{a:.12g},{v:.12g}" for a, v in curve]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc}") from exc
 
 
 def _estimate_dict(est) -> dict:

@@ -12,6 +12,7 @@ than by a convergence proof.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,6 +345,8 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, damping
         _check_alpha(a, lo, 2.0)
     if not tol > 0.0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise InvalidParameterError(f"max_iter must be an integer >= 1, got {max_iter}")
     states, prior = _positive_part(src)
     values, sigmas, iters, steps, ok = _sweep_fixed_point(
         states, prior, alphas, conditional=conditional, tol=tol, max_iter=max_iter, damping=damping
@@ -357,9 +360,10 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, damping
             f"(last step {best.final_step:.3e})",
             best=best,
         )
+    failed = alphas[~ok]
     raise ConvergenceError(
-        f"{what} sweep failed to converge at alpha={alphas[~ok]} "
-        f"(worst step {steps[~ok].max():.3e})",
+        f"{what} sweep failed to converge at {failed.size} of {alphas.size} orders, "
+        f"alpha {failed[0]:.6g} to {failed[-1]:.6g} (worst step {steps[~ok].max():.3e})",
         best=values,
     )
 

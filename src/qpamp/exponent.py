@@ -12,9 +12,11 @@ kind supplies its row, the shift c (the rate and an entropy-like term) and
 the offset.  ``_sup_over_alpha`` evaluates the objective on a fixed grid
 pulled slightly inside the interval (the endpoints are singular in the
 prefactors) with one batched curve call, then refines the best bracket by
-golden-section search on single-point solves.  Exponents are reported in
-nats per symbol; negative values mean the bound is vacuous and are reported
-as-is.
+golden-section search.  The refinement evaluates, in one batched call, every
+point the next LOOKAHEAD golden steps may need, so it takes the same steps
+and returns the same floats as a search with one solve per step.  Exponents
+are reported in nats per symbol; negative values mean the bound is vacuous
+and are reported as-is.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import divergence as dv
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import ConvergenceError, InvalidInputError, InvalidParameterError
 from .model import CQSource, TypeDistribution, enumerate_n_types, type_class_log_size
 
 #: distance kept from the open interval endpoints when gridding alpha
@@ -38,6 +40,8 @@ GRID_POINTS = 400
 SCAN_POINTS = 80
 #: bracket width at which golden-section refinement stops
 REFINE_XTOL = 1e-8
+#: golden-section steps whose possible points one refinement batch evaluates
+LOOKAHEAD = 3
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -54,34 +58,43 @@ class ExponentReport:
 
 
 class _Family(NamedTuple):
-    """Open alpha interval of a curve Q; Q over a grid and at one point.
+    """Open alpha interval of a curve Q; Q over a grid and over refinement points.
 
-    Both forms are called as (source, alpha or alphas, tol, max_iter).
+    Both are called as (source, alphas, tol, max_iter).  ``refine`` also takes
+    one order, and then raises the ConvergenceError of the family's
+    single-point solve (``best`` an AugustinResult for the fixed-point rows).
     """
 
     lo: float
     hi: float
     curve: Callable[[CQSource, np.ndarray, float, int], np.ndarray]
-    point: Callable[[CQSource, float, float, int], float]
+    refine: Callable[[CQSource, np.ndarray, float, int], np.ndarray]
+
+
+def _petz_up_points(src: CQSource, alphas) -> np.ndarray:
+    # One point solve per order: the vectorised Petz curve rounds differently.
+    return np.array([dv.augustin_petz_up(src, b) for b in np.atleast_1d(2.0 - 1.0 / alphas)])
 
 
 # The divergence functions are looked up when called, so code that replaces
-# one of them (a tracer, a test double) sees every call made from here.
+# one of them (a tracer, a test double) sees every call made from here.  The
+# fixed-point sweep freezes each order on its own, so a batch of orders gives
+# the same floats as one solve per order.
 _FAMILIES = {
     "augustin": _Family(
         1.0, 2.0,
         lambda src, a, tol, it: dv.augustin_sandwiched_curve(src, a, tol, it),
-        lambda src, a, tol, it: dv.augustin_sandwiched(src, a, tol, it).value,
+        lambda src, a, tol, it: dv.augustin_sandwiched_curve(src, a, tol, it),
     ),
     "petz-up": _Family(
         0.5, 1.0,
         lambda src, a, tol, it: dv.augustin_petz_up_curve(src, 2.0 - 1.0 / a),
-        lambda src, a, tol, it: dv.augustin_petz_up(src, 2.0 - 1.0 / a),
+        lambda src, a, tol, it: _petz_up_points(src, a),
     ),
     "neg-conditional": _Family(
         1.0, 2.0,
         lambda src, a, tol, it: -dv.conditional_renyi_sandwiched_curve(src, a, tol, it),
-        lambda src, a, tol, it: -dv.conditional_renyi_sandwiched(src, a, tol, it),
+        lambda src, a, tol, it: -dv.conditional_renyi_sandwiched_curve(src, a, tol, it),
     ),
 }
 
@@ -96,21 +109,62 @@ def _check_n(n: int | None) -> None:
         raise InvalidParameterError(f"n must be an integer >= 1, got {n}")
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def _golden_step(lo, hi, c, d, c_wins: bool):
+    """One golden-section step; returns the new bracket and its new point."""
+    if c_wins:
+        hi, d = d, c
+        c = hi - _INV_PHI * (hi - lo)
+        return lo, hi, c, d, c
+    lo, c = c, d
+    d = lo + _INV_PHI * (hi - lo)
+    return lo, hi, c, d, d
+
+
+def _ahead(lo, hi, c, d, depth: int) -> list[float]:
+    """Every point the next ``depth`` steps from this bracket may evaluate.
+
+    Both outcomes of each comparison are followed; a branch whose bracket
+    reaches REFINE_XTOL ends at its midpoint.
+    """
+    if not hi - lo > REFINE_XTOL:
+        return [0.5 * (lo + hi)]
+    if depth == 0:
+        return []
+    points = []
+    for c_wins in (True, False):
+        lo2, hi2, c2, d2, new = _golden_step(lo, hi, c, d, c_wins)
+        points += [new] + _ahead(lo2, hi2, c2, d2, depth - 1)
+    return points
+
+
+def _golden_max(
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+) -> tuple[float, float]:
+    """Golden-section maximum of fn on [lo, hi]: (final bracket midpoint, value).
+
+    ``fn`` maps an array of points to their values.  Each call evaluates
+    every point the next LOOKAHEAD steps may read, and the walk reads its
+    values from those, so it visits the same points as a walk evaluating one
+    point per step.  If a batch fails, the point the walk reads next is
+    evaluated alone, so a point it never reads cannot raise.
+    """
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > REFINE_XTOL:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = fn(d)
-    mid = 0.5 * (lo + hi)
-    return mid, fn(mid)
+    known: dict[float, float] = {}
+    while True:
+        while hi - lo > REFINE_XTOL and c in known and d in known:
+            lo, hi, c, d, _ = _golden_step(lo, hi, c, d, known[c] > known[d])
+        mid = 0.5 * (lo + hi)
+        if not hi - lo > REFINE_XTOL and mid in known:
+            return mid, known[mid]
+        points = [c, d] + _ahead(lo, hi, c, d, LOOKAHEAD - 1)
+        points = [p for p in dict.fromkeys(points) if p not in known]
+        try:
+            values = fn(np.array(points))
+        except ConvergenceError:
+            points = points[:1]
+            values = fn(points[0])
+        known.update(zip(points, map(float, np.atleast_1d(values))))
 
 
 def _sup_over_alpha(
@@ -146,7 +200,7 @@ def _sup_over_alpha(
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
     ra, rv = _golden_max(
-        lambda a: objective(fam.point(src, a, tol, max_iter), a),
+        lambda a: objective(fam.refine(src, a, tol, max_iter), a),
         float(alphas[max(i - 1, 0)]),
         float(alphas[min(i + 1, points - 1)]),
     )

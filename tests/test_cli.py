@@ -259,6 +259,12 @@ class TestErrors:
              "--delta", "0.06", "--threads", "0"],
             ["wiretap", CHANNEL, "--simulate", "--rate", "0.05", "--type", "2,2",
              "--delta", "0.06", "--trials", "0"],
+            ["augustin", SOURCE, "--alpha", "1.5", "--max-iter", "0"],
+            ["augustin", SOURCE, "--alpha", "1.5", "--max-iter", "-3"],
+            ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1",
+             "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
+            ["wiretap", CHANNEL, "--rate", "0.05",
+             "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
         ],
     )
     def test_bad_parameter_exits_1_with_message(self, capsys, argv):

@@ -195,6 +195,18 @@ class TestAugustinSandwiched:
         assert best.iterations == 2
         assert math.isfinite(best.value)
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
+    def test_bad_max_iter_rejected(self, rng, max_iter):
+        src = rand_source(rng, 2, 2)
+        for solve in (
+            dv.augustin_sandwiched,
+            dv.conditional_renyi_sandwiched,
+            dv.augustin_sandwiched_curve,
+            dv.conditional_renyi_sandwiched_curve,
+        ):
+            with pytest.raises(InvalidParameterError, match="max_iter"):
+                solve(src, 1.5, max_iter=max_iter)
+
     def test_curve_matches_single_calls(self, rng):
         src = rand_source(rng, 3, 2, mix=0.1)
         alphas = np.array([1.05, 1.4, 1.95])

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import diag_source, rand_source
-from qpamp.errors import InvalidInputError, InvalidParameterError
+from conftest import diag_source, rand_instance, rand_source
+from qpamp.errors import ConvergenceError, InvalidInputError, InvalidParameterError
 from qpamp import divergence as dv
-from qpamp import exponent
+from qpamp import exponent, wiretap
 from qpamp.model import CQSource
-from qpamp.qmat import DensityOperator, random_density, tensor
+from qpamp.qmat import DensityOperator, random_density, random_pure, tensor
 from qpamp.wiretap import WiretapChannel, allocate_rates, secrecy_exponent
 
 
@@ -62,11 +62,18 @@ class TestScAchievability:
         assert rep.meta["kind"] == "sc-direct"
 
     def test_convergence_failure_propagates(self, rng):
-        from qpamp.errors import ConvergenceError
-
         src = rand_source(rng, 2, 2)
         with pytest.raises(ConvergenceError):
             exponent.sc_achievability_exponent(src, 0.2, points=20, max_iter=1)
+
+    def test_grid_convergence_message_is_bounded(self, rng):
+        src = rand_source(rng, 2, 2)
+        with pytest.raises(ConvergenceError) as err:
+            exponent.sc_achievability_exponent(src, 0.1, max_iter=1)
+        msg = str(err.value)
+        assert len(msg) < 300
+        assert "400 of 400 orders" in msg
+        assert "1.0001 to 1.9999" in msg
 
 
 class TestScConverse:
@@ -338,6 +345,11 @@ class TestValidation:
                 with pytest.raises(InvalidParameterError):
                     fn(src, rate)
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
+    def test_bad_max_iter_rejected(self, max_iter):
+        with pytest.raises(InvalidParameterError, match="max_iter"):
+            exponent.sc_achievability_exponent(trivial_source(), 0.1, max_iter=max_iter)
+
     def test_iid_requires_valid_n(self):
         with pytest.raises(InvalidParameterError):
             exponent.iid_exponent_via_types(trivial_source(), 0.1, 0)
@@ -351,3 +363,180 @@ class TestValidation:
 
         with pytest.raises(CapacityError):
             exponent.iid_exponent_via_types(trivial_source(), 0.1, 20, cap=5)
+
+
+# -- speculative golden-section refinement -------------------------------------
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: each curve family at one order, one solve per call
+_POINT = {
+    "augustin": lambda src, a, tol, it: dv.augustin_sandwiched(src, a, tol, it).value,
+    "petz-up": lambda src, a, tol, it: dv.augustin_petz_up(src, 2.0 - 1.0 / a),
+    "neg-conditional": lambda src, a, tol, it: -dv.conditional_renyi_sandwiched(src, a, tol, it),
+}
+
+
+def sequential_golden(fn, lo, hi, visited=None):
+    """Golden-section search that evaluates one point per step."""
+    visited = [] if visited is None else visited
+
+    def f(x):
+        visited.append(x)
+        return fn(x)
+
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > exponent.REFINE_XTOL:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    mid = 0.5 * (lo + hi)
+    return mid, f(mid)
+
+
+def sequential_sup(src, family, shift, *, offset=-0.0, points=exponent.GRID_POINTS,
+                   tol=dv.DEFAULT_TOL, max_iter=dv.DEFAULT_MAX_ITER, visited=None):
+    """The sup over alpha with its refinement on single-point solves."""
+    fam = exponent._FAMILIES[family]
+
+    def objective(q, a):
+        for c in shift:
+            q = q - c
+        return offset + (1.0 - a) / a * q
+
+    alphas = np.linspace(fam.lo + exponent.ALPHA_MARGIN, fam.hi - exponent.ALPHA_MARGIN, points)
+    vals = objective(fam.curve(src, alphas, tol, max_iter), alphas)
+    i = int(np.argmax(vals))
+    best_a, best_v = float(alphas[i]), float(vals[i])
+    ra, rv = sequential_golden(
+        lambda a: objective(_POINT[family](src, a, tol, max_iter), a),
+        float(alphas[max(i - 1, 0)]),
+        float(alphas[min(i + 1, points - 1)]),
+        visited,
+    )
+    if rv > best_v:
+        best_a, best_v = ra, rv
+    return best_a, best_v, tuple((float(a), float(v)) for a, v in zip(alphas, vals))
+
+
+def _random_channel(rng) -> WiretapChannel:
+    joint = tuple(
+        DensityOperator(tensor([random_pure(rng, 2), random_density(rng, 2, mix=0.2)]))
+        for _ in range(2)
+    )
+    return WiretapChannel(prior=np.array([0.5, 0.5]), joint_states=joint, dims=(2, 2))
+
+
+def _all_kinds(inst, ch):
+    """Every exponent kind on one constant-type instance and one channel."""
+    src, n = inst.base, inst.type.n
+    rate = 0.5 * exponent.conditional_entropy_limit(src)
+    return {
+        "sc-direct": lambda: exponent.sc_achievability_exponent(src, rate + 0.2),
+        "sc-converse": lambda: exponent.sc_converse_exponent(src, rate, n=n),
+        "pa-direct": lambda: exponent.pa_achievability_exponent(src, rate, n=n),
+        "pa-direct-finite": lambda: exponent.pa_achievability_exponent(
+            src, rate, n=n, finite_n=True
+        ),
+        "pa-converse": lambda: exponent.pa_strong_converse_exponent(src, rate, n=n),
+        "dupuis": lambda: exponent.dupuis_exponent(src, rate),
+        "iid": lambda: exponent.iid_exponent_via_types(src, rate, 3, scan_points=20),
+        "secrecy": lambda: wiretap.secrecy_exponent(ch, 0.01),
+        "allocation": lambda: wiretap.allocate_rates(ch, 0.0, 0.05, 8).bob_decoding_exponent,
+    }
+
+
+class TestSpeculativeRefinement:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_sequential_refinement(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        inst = rand_instance(rng, alphabet_size=2 + seed % 2)
+        kinds = _all_kinds(inst, _random_channel(rng))
+        with monkeypatch.context() as m:
+            m.setattr(exponent, "_sup_over_alpha", sequential_sup)
+            m.setattr(wiretap, "_sup_over_alpha", sequential_sup)
+            expected = {k: fn() for k, fn in kinds.items()}
+        for k, fn in kinds.items():
+            got, ref = fn(), expected[k]
+            assert (got.exponent, got.alpha_star, got.curve) == (
+                ref.exponent, ref.alpha_star, ref.curve
+            ), k
+
+    def test_batch_count(self, monkeypatch, rng):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        sizes = []
+        curve = dv.augustin_sandwiched_curve
+
+        def counting(src, alphas, *args):
+            sizes.append(np.size(alphas))
+            return curve(src, alphas, *args)
+
+        def scalar(*args):
+            raise AssertionError("refinement made a single-point solve")
+
+        monkeypatch.setattr(dv, "augustin_sandwiched_curve", counting)
+        monkeypatch.setattr(dv, "augustin_sandwiched", scalar)
+        exponent.pa_achievability_exponent(src, 0.1)
+        assert sizes[0] == exponent.GRID_POINTS
+        assert 1 <= len(sizes) - 1 <= 12
+
+    def _stub_family(self, monkeypatch, fam, fail_at):
+        def refine(src, alphas, tol, max_iter):
+            if fail_at in np.atleast_1d(alphas):
+                raise ConvergenceError(f"stub failure at {fail_at}")
+            return fam.refine(src, alphas, tol, max_iter)
+
+        monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(refine=refine))
+
+    def test_unread_failure_is_not_raised(self, monkeypatch, rng):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        read = []
+        sequential_sup(src, "augustin", (0.2,), visited=read)
+        evaluated = []
+        fam = exponent._FAMILIES["augustin"]
+
+        def recording(src, alphas, tol, max_iter):
+            evaluated.extend(np.atleast_1d(alphas))
+            return fam.refine(src, alphas, tol, max_iter)
+
+        monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(refine=recording))
+        ref = exponent.sc_achievability_exponent(src, 0.2)
+        unread = sorted(set(evaluated) - set(read))
+        assert unread
+        for point in (unread[0], unread[len(unread) // 2], unread[-1]):
+            self._stub_family(monkeypatch, fam, point)
+            got = exponent.sc_achievability_exponent(src, 0.2)
+            assert (got.exponent, got.alpha_star) == (ref.exponent, ref.alpha_star)
+
+    @pytest.mark.parametrize("which", [0, 5, -1])
+    def test_read_failure_is_raised(self, monkeypatch, rng, which):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        read = []
+        sequential_sup(src, "augustin", (0.2,), visited=read)
+        self._stub_family(monkeypatch, exponent._FAMILIES["augustin"], read[which])
+        with pytest.raises(ConvergenceError, match="stub failure"):
+            exponent.sc_achievability_exponent(src, 0.2)
+
+    @pytest.mark.parametrize(
+        "family, solve",
+        [
+            ("augustin", dv.augustin_sandwiched),
+            ("neg-conditional", dv.conditional_renyi_sandwiched),
+        ],
+    )
+    def test_one_order_raises_the_single_point_error(self, rng, family, solve):
+        src = rand_source(rng, 2, 2)
+        with pytest.raises(ConvergenceError) as scalar:
+            solve(src, 1.5, dv.DEFAULT_TOL, 2)
+        with pytest.raises(ConvergenceError) as refine:
+            exponent._FAMILIES[family].refine(src, 1.5, dv.DEFAULT_TOL, 2)
+        assert str(refine.value) == str(scalar.value)
+        assert isinstance(refine.value.best, dv.AugustinResult)
+        assert refine.value.best.iterations == 2
