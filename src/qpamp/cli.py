@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -145,6 +146,21 @@ def _report_dict(rep: exponent.ExponentReport) -> dict:
     }
 
 
+def _check_curve_out(path: str | None) -> None:
+    """Refuse a --curve-out that cannot be written, before any computation."""
+    if not path:
+        return
+    if os.path.exists(path):
+        problem = "is a directory" if os.path.isdir(path) else "not writable"
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        problem = f"no writable directory {parent}"
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise InvalidParameterError(f"cannot write {path}: {problem}")
+
+
 def _write_curve(path: str, curve) -> None:
     lines = ["alpha,value"]
     lines += [f"{a:.12g},{v:.12g}" for a, v in curve]
@@ -207,6 +223,7 @@ def cmd_exponent(args) -> dict:
     args._digest = digest
     kind = args.kind
     exponent._check_n(args.n)  # also for dupuis, which takes no n
+    _check_curve_out(args.curve_out)
     kw = dict(points=args.points)
     if kind == "pa-direct":
         rep = exponent.pa_achievability_exponent(
@@ -309,6 +326,7 @@ def cmd_wiretap(args) -> dict:
             "mutual_info_eve": divergence.holevo_mutual_info(eve),
         }
     if args.rate is not None:
+        _check_curve_out(args.curve_out)
         rep = wiretap.secrecy_exponent(ch, args.rate, points=args.points)
         if args.curve_out:
             _write_curve(args.curve_out, rep.curve)

@@ -17,12 +17,25 @@ point the next LOOKAHEAD golden steps may need, so it takes the same steps
 and returns the same floats as a search with one solve per step.  Exponents
 are reported in nats per symbol; negative values mean the bound is vacuous
 and are reported as-is.
+
+The grid curve does not depend on the rate, so it is memoised: kinds and
+rates that share a source share one sweep.  The memo is keyed by a digest of
+the content (family, prior, states, grid, tol, max_iter), never by object
+identity, so a rebuilt equal source hits.  It holds read-only value arrays
+only, never an error, and evicts least-recently-used curves to stay within
+CURVE_MEMO_BYTES.  No flag controls it.  Refinement points are not memoised.
+A divergence function replaced after a curve is cached (a tracer or a test
+double) is not called on a hit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -42,6 +55,8 @@ SCAN_POINTS = 80
 REFINE_XTOL = 1e-8
 #: golden-section steps whose possible points one refinement batch evaluates
 LOOKAHEAD = 3
+#: memory the grid-curve memo may hold, keys and arrays included
+CURVE_MEMO_BYTES = 1 << 20
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,9 +92,10 @@ def _petz_up_points(src: CQSource, alphas) -> np.ndarray:
 
 
 # The divergence functions are looked up when called, so code that replaces
-# one of them (a tracer, a test double) sees every call made from here.  The
-# fixed-point sweep freezes each order on its own, so a batch of orders gives
-# the same floats as one solve per order.
+# one of them (a tracer, a test double) sees every call made from here, except
+# grid curves the memo already holds.  The fixed-point sweep freezes each
+# order on its own, so a batch of orders gives the same floats as one solve
+# per order, and a memoised grid curve the same floats as a fresh sweep.
 _FAMILIES = {
     "augustin": _Family(
         1.0, 2.0,
@@ -97,6 +113,58 @@ _FAMILIES = {
         lambda src, a, tol, it: -dv.conditional_renyi_sandwiched_curve(src, a, tol, it),
     ),
 }
+
+
+class _CurveMemo:
+    """Least-recently-used grid curves under a digest of their inputs."""
+
+    def __init__(self):
+        self._curves: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, key: bytes) -> np.ndarray | None:
+        with self._lock:
+            curve = self._curves.get(key)
+            if curve is not None:
+                self._curves.move_to_end(key)
+            return curve
+
+    def put(self, key: bytes, curve: np.ndarray) -> None:
+        size = sys.getsizeof(key) + sys.getsizeof(curve)
+        with self._lock:
+            if size > CURVE_MEMO_BYTES or key in self._curves:
+                return
+            self._curves[key] = curve
+            self.nbytes += size
+            while self.nbytes > CURVE_MEMO_BYTES:
+                old_key, old = self._curves.popitem(last=False)
+                self.nbytes -= sys.getsizeof(old_key) + sys.getsizeof(old)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._curves.clear()
+            self.nbytes = 0
+
+
+_CURVES = _CurveMemo()
+
+
+def _grid_curve(
+    src: CQSource, family: str, alphas: np.ndarray, tol: float, max_iter: int
+) -> np.ndarray:
+    """The family's curve over the grid ``alphas``, computed once per content."""
+    digest = hashlib.sha256(repr((family, tol, max_iter)).encode())
+    for part in (src.prior, src.state_stack(), alphas):
+        digest.update(repr((part.dtype.str, part.shape)).encode())
+        digest.update(part.tobytes())
+    key = digest.digest()
+    curve = _CURVES.get(key)
+    if curve is None:
+        curve = np.array(_FAMILIES[family].curve(src, alphas, tol, max_iter))
+        curve.setflags(write=False)
+        _CURVES.put(key, curve)
+    return curve
 
 
 def _check_rate(rate: float) -> None:
@@ -196,7 +264,7 @@ def _sup_over_alpha(
         return offset + (1.0 - a) / a * q
 
     alphas = np.linspace(fam.lo + ALPHA_MARGIN, fam.hi - ALPHA_MARGIN, points)
-    vals = objective(fam.curve(src, alphas, tol, max_iter), alphas)
+    vals = objective(_grid_curve(src, family, alphas, tol, max_iter), alphas)
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
     ra, rv = _golden_max(

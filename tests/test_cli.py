@@ -272,6 +272,31 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, module, function",
+        [
+            (["exponent", SOURCE, "--kind", "iid", "--rate", "0.1", "--n", "6",
+              "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
+             "exponent", "iid_exponent_via_types"),
+            (["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1",
+              "--curve-out", DATA],
+             "exponent", "pa_achievability_exponent"),
+            (["wiretap", CHANNEL, "--rate", "0.05",
+              "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
+             "wiretap", "secrecy_exponent"),
+        ],
+    )
+    def test_unwritable_curve_out_refused_before_computing(
+        self, capsys, monkeypatch, argv, module, function
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{function} ran before --curve-out was checked")
+
+        monkeypatch.setattr(getattr(cli, module), function, never)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write")
+
     def test_timing_flag_adds_wall_time(self, capsys):
         doc = run_json(capsys, ["info", SOURCE, "--timing"])
         assert "wall_time_s" in doc["manifest"]

@@ -9,8 +9,20 @@ from qpamp.errors import ConvergenceError, InvalidInputError, InvalidParameterEr
 from qpamp import divergence as dv
 from qpamp import exponent, wiretap
 from qpamp.model import CQSource
-from qpamp.qmat import DensityOperator, random_density, random_pure, tensor
+from qpamp.qmat import DensityOperator, HermitianOperator, random_density, random_pure, tensor
 from qpamp.wiretap import WiretapChannel, allocate_rates, secrecy_exponent
+
+
+@pytest.fixture(autouse=True)
+def empty_curve_memo():
+    """Start and end every test with an empty grid-curve memo.
+
+    Tests here count or patch curve calls; a curve an earlier test cached
+    (the seeded ``rng`` fixture repeats sources) would skip those calls.
+    """
+    exponent._CURVES.clear()
+    yield
+    exponent._CURVES.clear()
 
 
 def trivial_source(p=(0.3, 0.7), dim=2, seed=0) -> CQSource:
@@ -486,6 +498,10 @@ class TestSpeculativeRefinement:
         exponent.pa_achievability_exponent(src, 0.1)
         assert sizes[0] == exponent.GRID_POINTS
         assert 1 <= len(sizes) - 1 <= 12
+        refinement = sizes[1:]
+        sizes.clear()
+        exponent.pa_achievability_exponent(src, 0.1)
+        assert sizes == refinement  # the grid curve comes from the memo
 
     def _stub_family(self, monkeypatch, fam, fail_at):
         def refine(src, alphas, tol, max_iter):
@@ -540,3 +556,117 @@ class TestSpeculativeRefinement:
         assert str(refine.value) == str(scalar.value)
         assert isinstance(refine.value.best, dv.AugustinResult)
         assert refine.value.best.iterations == 2
+
+
+# -- grid-curve memo -------------------------------------------------------------
+
+#: the function behind each family's grid sweep
+_GRID_FUNCTIONS = {
+    "augustin": "augustin_sandwiched_curve",
+    "petz-up": "augustin_petz_up_curve",
+    "neg-conditional": "conditional_renyi_sandwiched_curve",
+}
+
+
+def _count_grid_calls(monkeypatch, points=exponent.GRID_POINTS):
+    """Count, per family, the curve calls over ``points`` orders."""
+    counts = dict.fromkeys(_GRID_FUNCTIONS, 0)
+    for family, name in _GRID_FUNCTIONS.items():
+        def counting(src, alphas, *args, _family=family, _fn=getattr(dv, name)):
+            if np.size(alphas) == points:
+                counts[_family] += 1
+            return _fn(src, alphas, *args)
+
+        monkeypatch.setattr(dv, name, counting)
+    return counts
+
+
+def _rebuilt(src: CQSource, prior=None) -> CQSource:
+    """An equal source built from fresh copies of its arrays."""
+    states = tuple(DensityOperator(HermitianOperator(s.entries.copy())) for s in src.states)
+    return CQSource(prior=np.array(src.prior if prior is None else prior), states=states)
+
+
+class TestCurveCache:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_memo_is_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = rand_instance(rng, alphabet_size=2 + seed % 2)
+        kinds = _all_kinds(inst, _random_channel(rng))
+        cold = {}
+        for k, fn in kinds.items():
+            exponent._CURVES.clear()
+            cold[k] = fn()
+        for _ in range(2):  # filled by the other kinds, then fully warm
+            for k, fn in kinds.items():
+                got, ref = fn(), cold[k]
+                assert (got.exponent, got.alpha_star, got.curve) == (
+                    ref.exponent, ref.alpha_star, ref.curve
+                ), k
+
+    def test_one_grid_sweep_per_family(self, monkeypatch, rng):
+        inst = rand_instance(rng, alphabet_size=2)
+        src, n = inst.base, inst.type.n
+        counts = _count_grid_calls(monkeypatch)
+        for rate in (0.05, 0.2, 0.6):
+            exponent.sc_achievability_exponent(src, rate)
+            exponent.sc_converse_exponent(src, rate, n=n)
+            exponent.pa_achievability_exponent(src, rate, n=n)
+            exponent.pa_achievability_exponent(src, rate, n=n, finite_n=True)
+            exponent.pa_strong_converse_exponent(src, rate, n=n)
+            exponent.dupuis_exponent(src, rate)
+        assert counts == dict.fromkeys(_GRID_FUNCTIONS, 1)
+
+    def test_key_is_content(self, monkeypatch, rng):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        counts = _count_grid_calls(monkeypatch)
+        exponent.sc_achievability_exponent(src, 0.1)
+        exponent.sc_achievability_exponent(_rebuilt(src), 0.3)
+        assert counts["augustin"] == 1
+        nudged = src.prior.copy()
+        nudged[0] = np.nextafter(nudged[0], 1.0)
+        exponent.sc_achievability_exponent(_rebuilt(src, nudged), 0.1)
+        assert counts["augustin"] == 2
+        exponent.sc_achievability_exponent(src, 0.1, tol=dv.DEFAULT_TOL / 2)
+        assert counts["augustin"] == 3
+        exponent.sc_achievability_exponent(src, 0.1, max_iter=dv.DEFAULT_MAX_ITER + 1)
+        assert counts["augustin"] == 4
+        fewer = _count_grid_calls(monkeypatch, points=exponent.GRID_POINTS - 1)
+        exponent.sc_achievability_exponent(src, 0.1, points=exponent.GRID_POINTS - 1)
+        assert fewer["augustin"] == 1
+
+    def test_errors_are_not_cached(self, monkeypatch, rng):
+        src = rand_source(rng, 2, 2)
+        counts = _count_grid_calls(monkeypatch, points=20)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                exponent.sc_achievability_exponent(src, 0.2, points=20, max_iter=1)
+        assert counts["augustin"] == 2
+        assert not exponent._CURVES._curves
+
+    def test_memory_is_bounded(self, monkeypatch):
+        memo = exponent._CURVES
+        monkeypatch.setattr(exponent, "CURVE_MEMO_BYTES", 8 * 4096)
+        sources = [trivial_source(p=(q, 1.0 - q)) for q in np.linspace(0.05, 0.95, 20)]
+        for src in sources:
+            exponent.sc_converse_exponent(src, 0.1)
+            assert memo.nbytes <= exponent.CURVE_MEMO_BYTES
+        assert 1 < len(memo._curves) < len(sources)
+        counts = _count_grid_calls(monkeypatch)
+        oldest = sources[len(sources) - len(memo._curves)]
+        exponent.sc_converse_exponent(oldest, 0.1)  # held, and now the most recent
+        exponent.sc_converse_exponent(sources[0], 0.1)  # evicted: computed again
+        exponent.sc_converse_exponent(oldest, 0.1)  # still held
+        assert counts["petz-up"] == 1
+        # a curve larger than the whole bound is computed but never stored
+        before = list(memo._curves)
+        exponent.sc_converse_exponent(sources[1], 0.1, points=10_000)
+        assert list(memo._curves) == before
+        assert memo.nbytes <= exponent.CURVE_MEMO_BYTES
+
+    def test_cached_curve_is_read_only(self, rng):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        exponent.dupuis_exponent(src, 0.1)
+        (curve,) = exponent._CURVES._curves.values()
+        with pytest.raises(ValueError):
+            curve[0] = 0.0
