@@ -5,7 +5,7 @@ Subpackages:
 - ``qmat``       dense Hermitian operator algebra
 - ``model``      c-q sources, n-types, type classes
 - ``divergence`` entropies, Renyi divergences, Augustin information
-- ``simulate``   regular binning / codebook sampling and exact enumeration
+- ``simulate``   exact and Monte Carlo PA / SC distances over a type class
 - ``exponent``   achievability and strong-converse exponent formulas
 - ``wiretap``    c-q wiretap channel secrecy bounds and leakage simulation
 - ``cli``        JSON/CSV command-line front end

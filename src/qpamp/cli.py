@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -58,28 +58,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InvalidParameterError(message)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    input_sha256: str
-    seed: int | None
-    version: str
-    parameters: dict
-    wall_time_s: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "input_sha256": self.input_sha256,
-            "seed": self.seed,
-            "version": self.version,
-            "parameters": self.parameters,
-        }
-        if self.wall_time_s is not None:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 def _round_floats(obj, bits: bool = False, convert: bool = False):
@@ -173,12 +151,7 @@ def _write_curve(path: str, curve) -> None:
 
 def _estimate_dict(est) -> dict:
     if isinstance(est, simulate.SimEstimate):
-        return {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "trials": est.trials,
-            "seed": est.seed,
-        }
+        return asdict(est)
     return {"value": float(est)}
 
 
@@ -251,6 +224,7 @@ def cmd_exponent(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    simulate._check_trials_threads(args.trials, args.threads)
     obj, digest = _load_json(args.source)
     src = model.source_from_json(obj)
     args._digest = digest
@@ -285,6 +259,7 @@ def cmd_wiretap(args) -> dict:
     obj, digest = _load_json(args.channel)
     ch = wiretap.channel_from_json(obj)
     args._digest = digest
+    _check_curve_out(args.curve_out)
     if args.simulate:
         if args.type is None or args.rate is None:
             raise InvalidParameterError("--simulate requires --type and --rate")
@@ -295,12 +270,10 @@ def cmd_wiretap(args) -> dict:
         leak = wiretap.simulate_leakage(
             ch, t, alloc_rep.rates, args.trials, args.seed, threads=args.threads
         )
+        if args.curve_out:
+            _write_curve(args.curve_out, alloc_rep.bob_decoding_exponent.curve)
         return {
-            "rates": {
-                "R": alloc_rep.rates.R,
-                "R1": alloc_rep.rates.R1,
-                "R2": alloc_rep.rates.R2,
-            },
+            "rates": asdict(alloc_rep.rates),
             "bob_decoding_exponent": _report_dict(alloc_rep.bob_decoding_exponent),
             "leakage": {
                 "pa_joint": _estimate_dict(leak.pa_joint),
@@ -309,15 +282,13 @@ def cmd_wiretap(args) -> dict:
                 "direct": leak.direct,
                 "bins_joint": leak.bins_joint,
                 "bins_key": leak.bins_key,
-                "realized_rates": {
-                    "R": leak.realized.R,
-                    "R1": leak.realized.R1,
-                    "R2": leak.realized.R2,
-                },
+                "realized_rates": asdict(leak.realized),
                 "exact": leak.exact,
             },
         }
     if args.threshold:
+        if args.curve_out:
+            raise InvalidParameterError("--threshold computes no curve for --curve-out")
         bob = wiretap.bob_source(ch)
         eve = wiretap.eve_source(ch)
         return {
@@ -326,7 +297,6 @@ def cmd_wiretap(args) -> dict:
             "mutual_info_eve": divergence.holevo_mutual_info(eve),
         }
     if args.rate is not None:
-        _check_curve_out(args.curve_out)
         rep = wiretap.secrecy_exponent(ch, args.rate, points=args.points)
         if args.curve_out:
             _write_curve(args.curve_out, rep.curve)
@@ -423,16 +393,17 @@ def main(argv=None) -> int:
         for k, v in vars(args).items()
         if k not in {"fn", "command", "_digest"} and not k.startswith("_")
     }
-    manifest = RunManifest(
-        command=args.command,
-        input_sha256=getattr(args, "_digest", ""),
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        parameters=params,
-        wall_time_s=(time.monotonic() - started) if args.timing else None,
-    )
+    manifest = {
+        "command": args.command,
+        "input_sha256": getattr(args, "_digest", ""),
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "parameters": params,
+    }
+    if args.timing:
+        manifest["wall_time_s"] = time.monotonic() - started
     doc = {
-        "manifest": _round_floats(manifest.to_dict()),
+        "manifest": _round_floats(manifest),
         "result": _round_floats(result, bits=args.bits),
         "units": "bits" if args.bits else "nats",
     }

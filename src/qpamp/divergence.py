@@ -12,6 +12,7 @@ than by a convergence proof.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -35,7 +36,8 @@ SUPPORT_LEAK_ATOL = 1e-10
 #: defaults for the fixed-point optimizers
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
-DEFAULT_DAMPING = 0.3
+#: weight of the new target in each fixed-point step
+DAMPING = 0.3
 #: weight of the maximally mixed state mixed in when an iterate loses support
 SUPPORT_GUARD_EPS = 1e-9
 
@@ -201,7 +203,6 @@ def _sweep_fixed_point(
     conditional: bool,
     tol: float,
     max_iter: int,
-    damping: float,
 ):
     """Damped fixed-point iteration, vectorized over a stack of alpha values.
 
@@ -270,7 +271,7 @@ def _sweep_fixed_point(
         target = _sym(target)
         target /= np.trace(target, axis1=-2, axis2=-1).real[:, None, None]
 
-        new = (1.0 - damping) * sig + damping * target
+        new = (1.0 - DAMPING) * sig + DAMPING * target
         diff = new - sig
         step = np.abs(np.linalg.eigvalsh(diff)).max(axis=-1)
 
@@ -329,7 +330,7 @@ def _result(values, sigmas, iterations, steps) -> AugustinResult:
     )
 
 
-def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, damping):
+def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter):
     """Validate, run the fixed-point sweep, and raise if any order failed.
 
     ``alpha`` is one order (a scalar solve) or an array of them (a curve).
@@ -343,13 +344,13 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, damping
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     for a in alphas:
         _check_alpha(a, lo, 2.0)
-    if not tol > 0.0:
-        raise InvalidParameterError(f"tol must be positive, got {tol}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise InvalidParameterError(f"max_iter must be an integer >= 1, got {max_iter}")
     states, prior = _positive_part(src)
     values, sigmas, iters, steps, ok = _sweep_fixed_point(
-        states, prior, alphas, conditional=conditional, tol=tol, max_iter=max_iter, damping=damping
+        states, prior, alphas, conditional=conditional, tol=tol, max_iter=max_iter
     )
     if ok.all():
         return values, sigmas, iters, steps
@@ -373,7 +374,6 @@ def augustin_sandwiched(
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
 ) -> AugustinResult:
     """Order-alpha sandwiched Augustin information of a c-q source.
 
@@ -382,7 +382,7 @@ def augustin_sandwiched(
     reported value is the objective evaluated at the final iterate, hence
     always an upper bound on the true infimum.
     """
-    return _result(*_fixed_point(src, alpha, False, tol, max_iter, damping))
+    return _result(*_fixed_point(src, alpha, False, tol, max_iter))
 
 
 def augustin_petz_up(src: CQSource, alpha: float) -> float:
@@ -405,7 +405,6 @@ def conditional_renyi_sandwiched(
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
 ) -> float:
     """Sandwiched conditional Renyi entropy H*_alpha(X|B) for alpha in (1, 2].
 
@@ -413,7 +412,7 @@ def conditional_renyi_sandwiched(
     exp((alpha-1) D*_alpha(rho_x||sigma)) with the same damped fixed-point
     scheme as the Augustin optimization.
     """
-    values = _fixed_point(src, alpha, True, tol, max_iter, damping)[0]
+    values = _fixed_point(src, alpha, True, tol, max_iter)[0]
     return float(values[0])
 
 
@@ -436,14 +435,13 @@ def augustin_sandwiched_curve(
     alphas,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
 ) -> np.ndarray:
     """Sandwiched Augustin information over a grid of alpha values.
 
     Same semantics per alpha as augustin_sandwiched; the iteration is batched
     over the grid for speed.  Raises ConvergenceError if any point fails.
     """
-    return _fixed_point(src, alphas, False, tol, max_iter, damping)[0]
+    return _fixed_point(src, alphas, False, tol, max_iter)[0]
 
 
 def conditional_renyi_sandwiched_curve(
@@ -451,10 +449,9 @@ def conditional_renyi_sandwiched_curve(
     alphas,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damping: float = DEFAULT_DAMPING,
 ) -> np.ndarray:
     """H*_alpha(X|B) over a grid of alpha values in (1, 2]."""
-    return _fixed_point(src, alphas, True, tol, max_iter, damping)[0]
+    return _fixed_point(src, alphas, True, tol, max_iter)[0]
 
 
 def augustin_petz_up_curve(src: CQSource, alphas) -> np.ndarray:

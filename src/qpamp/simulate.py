@@ -1,4 +1,4 @@
-"""Regular random binnings and codebooks without repetition on type classes.
+"""Privacy-amplification and soft-covering distances on constant-type sources.
 
 The c-q block structure splits the privacy-amplification trace norm into the
 mean per-bin distance, and a bin of a uniformly random regular binning is a
@@ -11,7 +11,7 @@ subset's distance is constant on its S_n-orbit: ``d_sc_exact`` (hence
 per orbit, weighted by the orbit size.  ``verify_equivalence`` stays the plain
 certificate: it streams every subset and walks every binning.  The caps are
 checked on the full subset count before any orbit is labelled.  Monte Carlo
-paths draw seeded samples.
+trials draw a seeded regular binning or codebook without repetition each.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 trial_index), so trials are reproducible and independent of execution order.
@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidParameterError
-from .model import ConstantTypeSource, TypeDistribution, enumerate_type_class
+from .model import ConstantTypeSource, enumerate_type_class
 from .qmat import DIMENSION_CAP
 
 #: cap on the number of partitions / subsets an exact expectation may visit
@@ -45,58 +45,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for trial `index` of stream `seed`."""
     key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class Binning:
-    """A k-to-1 assignment of type-class sequences to labeled bins."""
-
-    domain: tuple[tuple[int, ...], ...]
-    num_bins: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        size = len(self.domain)
-        if self.num_bins < 1 or size % self.num_bins:
-            raise InvalidParameterError(
-                f"{self.num_bins} bins do not divide a domain of size {size}"
-            )
-        if len(self.assignment) != size:
-            raise InvalidParameterError("assignment length does not match the domain")
-        k = size // self.num_bins
-        counts = np.bincount(np.asarray(self.assignment), minlength=self.num_bins)
-        if counts.size != self.num_bins or not np.all(counts == k):
-            raise InvalidParameterError(f"binning is not regular: bin sizes {counts}")
-
-    @property
-    def preimage_size(self) -> int:
-        return len(self.domain) // self.num_bins
-
-    def bins(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_bins)]
-        for idx, z in enumerate(self.assignment):
-            out[z].append(idx)
-        return out
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """M distinct sequences drawn from a single type class."""
-
-    codewords: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.codewords:
-            raise InvalidParameterError("codebook must be nonempty")
-        if len(set(self.codewords)) != len(self.codewords):
-            raise InvalidParameterError("codewords must be pairwise distinct")
-        first = _counts_of(self.codewords[0])
-        if any(_counts_of(c) != first for c in self.codewords[1:]):
-            raise InvalidParameterError("codewords must all have the same type")
-
-
-def _counts_of(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(np.bincount(np.asarray(seq), minlength=max(seq) + 1))
 
 
 @dataclass(frozen=True)
@@ -116,37 +64,13 @@ class EquivalenceReport:
     gap: float
 
 
-def sample_regular_binning(
-    t: TypeDistribution, num_bins: int, rng_seed: int
-) -> Binning:
-    """Uniformly random regular binning of the type class into labeled bins.
-
-    Realized by a seeded Fisher-Yates shuffle of the enumerated class followed
-    by chunking into equal consecutive blocks.
-    """
-    size = t.class_size()
-    k = _bin_size(size, num_bins)
-    domain = tuple(enumerate_type_class(t))
-    rng = substream(rng_seed, 0)
-    perm = rng.permutation(size)
-    assignment = np.empty(size, dtype=int)
-    assignment[perm] = np.arange(size) // k
-    return Binning(domain=domain, num_bins=num_bins, assignment=tuple(int(z) for z in assignment))
-
-
-def sample_codebook_without_repetition(
-    t: TypeDistribution, M: int, rng_seed: int
-) -> Codebook:
-    """Uniform sample of M distinct type-class sequences (partial Fisher-Yates)."""
-    size = t.class_size()
-    if not 1 <= M <= size:
-        raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
-    domain = tuple(enumerate_type_class(t))
-    sel = _draw_without_replacement(substream(rng_seed, 0), size, M)
-    return Codebook(codewords=tuple(domain[i] for i in sorted(sel)))
+def _draw_binning(rng: np.random.Generator, num_bins: int, k: int) -> np.ndarray:
+    """Uniformly random regular binning: one sorted row of k indices per bin."""
+    return np.sort(rng.permutation(num_bins * k).reshape(num_bins, k), axis=1)
 
 
 def _draw_without_replacement(rng: np.random.Generator, size: int, m: int) -> np.ndarray:
+    """m distinct indices of range(size), uniformly (partial Fisher-Yates)."""
     idx = np.arange(size)
     for i in range(m):
         j = i + int(rng.integers(size - i))
@@ -381,14 +305,13 @@ def d_sc_monte_carlo(
     trials: int,
     rng_seed: int,
     *,
-    cap: int = EXACT_ENUMERATION_CAP,
     threads: int = 1,
 ) -> SimEstimate:
     """Monte Carlo estimate of d_sc_exact; unbiased, deterministic given seed."""
     size = src.type.class_size()
     if not 1 <= M <= size:
         raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
-    _, states, marginal = _prepare(src, cap=cap)
+    _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
 
     def trial(rng: np.random.Generator) -> float:
         sel = np.sort(_draw_without_replacement(rng, size, M))
@@ -404,18 +327,15 @@ def d_pa_monte_carlo(
     trials: int,
     rng_seed: int,
     *,
-    cap: int = EXACT_ENUMERATION_CAP,
     threads: int = 1,
 ) -> SimEstimate:
     """Monte Carlo estimate of d_pa_exact over sampled regular binnings."""
     size = src.type.class_size()
     k = _bin_size(size, num_bins)
-    _, states, marginal = _prepare(src, cap=cap)
+    _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
 
     def trial(rng: np.random.Generator) -> float:
-        perm = rng.permutation(size)
-        bins = np.sort(perm.reshape(num_bins, k), axis=1)
-        diffs = states[bins].mean(axis=1) - marginal
+        diffs = states[_draw_binning(rng, num_bins, k)].mean(axis=1) - marginal
         return float((0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)).mean())
 
     return _mc_run(trials, rng_seed, trial, threads)

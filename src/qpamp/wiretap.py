@@ -240,7 +240,6 @@ def simulate_leakage(
     trials: int,
     rng_seed: int,
     *,
-    cap: int = simulate.EXACT_ENUMERATION_CAP,
     threads: int = 1,
 ) -> LeakageReport:
     """Estimate Eve's leakage bound for the wiretap coding scheme.
@@ -274,11 +273,9 @@ def simulate_leakage(
 
     def pa_term(num_bins: int):
         try:
-            return simulate.d_pa_exact(eve, num_bins, cap=cap), True
+            return simulate.d_pa_exact(eve, num_bins), True
         except CapacityError:
-            est = simulate.d_pa_monte_carlo(
-                eve, num_bins, trials, rng_seed, cap=cap, threads=threads
-            )
+            est = simulate.d_pa_monte_carlo(eve, num_bins, trials, rng_seed, threads=threads)
             return est, False
 
     pa_joint, joint_exact = pa_term(bins_joint)

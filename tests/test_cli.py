@@ -186,6 +186,18 @@ class TestWiretap:
         if leak["direct"] is not None:
             assert leak["direct"] <= leak["bound_sum"] + 1e-10
 
+    def test_simulate_mode_writes_bob_curve(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        run_json(capsys, [
+            "wiretap", CHANNEL, "--simulate", "--rate", "0.05", "--type", "2,2",
+            "--delta", "0.06", "--trials", "10", "--points", "40", "--curve-out", str(path),
+        ])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "alpha,value"
+        ch = cli.wiretap.channel_from_json(cli._load_json(CHANNEL)[0])
+        curve = cli.wiretap.allocate_rates(ch, 0.05, 0.06, 4, points=40).bob_decoding_exponent.curve
+        assert lines[1:] == [f"{a:.12g},{v:.12g}" for a, v in curve]
+
     def test_mode_required(self, capsys):
         code, _, err = run(capsys, ["wiretap", CHANNEL])
         assert code == 1
@@ -265,6 +277,17 @@ class TestErrors:
              "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
             ["wiretap", CHANNEL, "--rate", "0.05",
              "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
+            ["augustin", SOURCE, "--alpha", "1.5", "--tol", "inf"],
+            ["simulate", SOURCE, "--task", "pa", "--type", "2,2", "--bins", "2", "--exact",
+             "--threads", "0"],
+            ["simulate", SOURCE, "--task", "pa", "--type", "2,2", "--bins", "2", "--exact",
+             "--trials", "0"],
+            ["simulate", SOURCE, "--task", "sc", "--type", "2,2", "--M", "2", "--exact",
+             "--trials", "-1"],
+            ["simulate", SOURCE, "--task", "equivalence", "--type", "2,2", "--bins", "2",
+             "--threads", "0"],
+            # a writable path, but --threshold has no curve to write
+            ["wiretap", CHANNEL, "--threshold", "--curve-out", os.path.join(DATA, "curve.csv")],
         ],
     )
     def test_bad_parameter_exits_1_with_message(self, capsys, argv):
@@ -284,6 +307,12 @@ class TestErrors:
             (["wiretap", CHANNEL, "--rate", "0.05",
               "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
              "wiretap", "secrecy_exponent"),
+            (["wiretap", CHANNEL, "--simulate", "--rate", "0.05", "--type", "2,2",
+              "--delta", "0.06", "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
+             "wiretap", "allocate_rates"),
+            (["wiretap", CHANNEL, "--threshold",
+              "--curve-out", os.path.join(DATA, "missing", "curve.csv")],
+             "wiretap", "positivity_threshold"),
         ],
     )
     def test_unwritable_curve_out_refused_before_computing(

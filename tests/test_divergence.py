@@ -207,6 +207,18 @@ class TestAugustinSandwiched:
             with pytest.raises(InvalidParameterError, match="max_iter"):
                 solve(src, 1.5, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, rng, tol):
+        src = rand_source(rng, 2, 2)
+        for solve in (
+            dv.augustin_sandwiched,
+            dv.conditional_renyi_sandwiched,
+            dv.augustin_sandwiched_curve,
+            dv.conditional_renyi_sandwiched_curve,
+        ):
+            with pytest.raises(InvalidParameterError, match="tol"):
+                solve(src, 1.5, tol=tol)
+
     def test_curve_matches_single_calls(self, rng):
         src = rand_source(rng, 3, 2, mix=0.1)
         alphas = np.array([1.05, 1.4, 1.95])

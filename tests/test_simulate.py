@@ -13,14 +13,10 @@ from qpamp.model import ConstantTypeSource, TypeDistribution, enumerate_type_cla
 from qpamp.qmat import DensityOperator, HermitianOperator, random_density, trace_norm
 from qpamp import simulate
 from qpamp.simulate import (
-    Binning,
-    Codebook,
     d_pa_exact,
     d_pa_monte_carlo,
     d_sc_exact,
     d_sc_monte_carlo,
-    sample_codebook_without_repetition,
-    sample_regular_binning,
     substream,
     verify_equivalence,
     without_replacement_covariance,
@@ -41,62 +37,55 @@ def equal_states_source(rng, n=4, counts=(2, 2)) -> ConstantTypeSource:
 
 
 class TestSampling:
-    def test_binning_divisibility(self):
-        t = TypeDistribution(n=3, counts=(2, 1))  # |T| = 3
+    """The draws of the Monte Carlo trials: _draw_binning for d_PA,
+    _draw_without_replacement for d_SC."""
+
+    def test_binning_divisibility(self, rng):
+        src = equal_states_source(rng, n=3, counts=(2, 1))  # |T| = 3
         with pytest.raises(InvalidParameterError):
-            sample_regular_binning(t, 2, rng_seed=0)
+            d_pa_monte_carlo(src, 2, trials=5, rng_seed=0)
 
     def test_single_bin_is_constant_map(self):
-        t = TypeDistribution(n=4, counts=(2, 2))
-        b = sample_regular_binning(t, 1, rng_seed=5)
-        assert set(b.assignment) == {0}
+        bins = simulate._draw_binning(substream(5, 0), 1, 6)
+        np.testing.assert_array_equal(bins, [np.arange(6)])
 
     def test_binning_regularity(self):
-        t = TypeDistribution(n=4, counts=(2, 2))  # |T| = 6
         for seed in range(10):
-            b = sample_regular_binning(t, 3, rng_seed=seed)
-            assert sorted(len(binlist) for binlist in b.bins()) == [2, 2, 2]
+            bins = simulate._draw_binning(substream(seed, 0), 3, 2)  # |T| = 6
+            assert bins.shape == (3, 2)
+            np.testing.assert_array_equal(np.sort(bins, axis=None), np.arange(6))
 
     def test_binning_seed_census_bijections(self):
         # |T| = 2, 2 bins: each bijection should appear about half the time
-        t = TypeDistribution(n=2, counts=(1, 1))
         hits = Counter(
-            sample_regular_binning(t, 2, rng_seed=s).assignment for s in range(3000)
+            tuple(simulate._draw_binning(substream(s, 0), 2, 1).ravel()) for s in range(3000)
         )
         assert set(hits) == {(0, 1), (1, 0)}
         assert abs(hits[(0, 1)] / 3000 - 0.5) < 0.04
 
     def test_binning_seed_census_partitions(self):
         # |T| = 4 into 2 bins: 3 pair-partitions x 2 labelings = 6 outcomes
-        t = TypeDistribution(n=4, counts=(3, 1))
         hits = Counter(
-            sample_regular_binning(t, 2, rng_seed=s).assignment for s in range(6000)
+            tuple(simulate._draw_binning(substream(s, 0), 2, 2).ravel()) for s in range(6000)
         )
         assert len(hits) == 6
         for count in hits.values():
             assert abs(count / 6000 - 1 / 6) < 0.03
 
-    def test_binning_validation(self):
-        t = TypeDistribution(n=2, counts=(1, 1))
-        domain = ((0, 1), (1, 0))
-        with pytest.raises(InvalidParameterError):
-            Binning(domain=domain, num_bins=2, assignment=(0, 0))
-
     def test_codebook_whole_class(self):
-        t = TypeDistribution(n=3, counts=(2, 1))
-        cb = sample_codebook_without_repetition(t, 3, rng_seed=1)
-        assert set(cb.codewords) == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
+        sel = simulate._draw_without_replacement(substream(1, 0), 3, 3)
+        assert sorted(sel) == [0, 1, 2]
 
-    def test_codebook_size_validation(self):
-        t = TypeDistribution(n=3, counts=(2, 1))
-        with pytest.raises(InvalidParameterError):
-            sample_codebook_without_repetition(t, 4, rng_seed=0)
+    def test_codebook_size_validation(self, rng):
+        src = equal_states_source(rng, n=3, counts=(2, 1))  # |T| = 3
+        for M in (0, 4):
+            with pytest.raises(InvalidParameterError):
+                d_sc_monte_carlo(src, M, trials=5, rng_seed=0)
 
     def test_codebook_seed_census(self):
         # each unordered pair out of |T| = 3 with probability 1/3
-        t = TypeDistribution(n=3, counts=(2, 1))
         hits = Counter(
-            sample_codebook_without_repetition(t, 2, rng_seed=s).codewords
+            tuple(sorted(simulate._draw_without_replacement(substream(s, 0), 3, 2)))
             for s in range(3000)
         )
         assert len(hits) == 3
@@ -104,12 +93,9 @@ class TestSampling:
             assert abs(count / 3000 - 1 / 3) < 0.04
 
     def test_codebook_distinctness_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            Codebook(codewords=((0, 1), (0, 1)))
-
-    def test_codebook_same_type_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            Codebook(codewords=((0, 1), (1, 1)))
+        for seed in range(50):
+            sel = simulate._draw_without_replacement(substream(seed, 0), 6, 4)
+            assert len(set(sel.tolist())) == 4
 
     def test_substream_determinism(self):
         a = substream(42, 3).integers(1 << 30, size=5)
