@@ -10,8 +10,15 @@ subset's distance is constant on its S_n-orbit: ``d_sc_exact`` (hence
 ``d_pa_exact``) and the direct wiretap leakage diagonalise one representative
 per orbit, weighted by the orbit size.  ``verify_equivalence`` stays the plain
 certificate: it streams every subset and walks every binning.  The caps are
-checked on the full subset count before any orbit is labelled.  Monte Carlo
-trials draw a seeded regular binning or codebook without repetition each.
+checked on the full subset count before any orbit is labelled.
+
+Monte Carlo trials draw a seeded regular binning or codebook without
+repetition each, that is a set of k-subsets of the type class.  On small
+classes the same subsets come back trial after trial, so the draws are
+collapsed to distinct subsets, each distinct subset's distance is computed
+once by the same ``_subset_distances`` kernel the exact routes use, and the
+distances are scattered back to the trials (draw -> dedupe -> evaluate ->
+scatter).
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 trial_index), so trials are reproducible and independent of execution order.
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, compress, islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -39,6 +47,13 @@ _MASK64 = (1 << 64) - 1
 _BATCH_ENTRIES = 2_097_152
 #: ceiling on the bytes of all subset differences one exact expectation streams
 _STREAM_BYTES_CAP = 4 << 30
+#: ceiling on the bytes of the stacked type-class states, |T| * D^2 * 16
+_STATE_STACK_BYTES_CAP = 1 << 30
+#: complex entries per Monte Carlo eigvalsh batch (~1 MB); 4 MB batches ran no
+#: faster and raised the resident peak of a Monte Carlo run by 11-21%
+_MC_BATCH_ENTRIES = 65_536
+#: drawn indices held per chunk of Monte Carlo trials (~512 KB)
+_MC_CHUNK_INDICES = 65_536
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -88,6 +103,12 @@ def _sequence_state_stack(src: ConstantTypeSource, domain) -> np.ndarray:
     if dim_total > DIMENSION_CAP:
         raise CapacityError(
             f"sequence dimension {dim_total} exceeds the cap {DIMENSION_CAP}"
+        )
+    if (stack_bytes := len(domain) * dim_total * dim_total * 16) > _STATE_STACK_BYTES_CAP:
+        raise CapacityError(
+            f"{len(domain)} sequence states of {dim_total}x{dim_total} need "
+            f"{stack_bytes / 2**30:.2f} GiB, over the "
+            f"{_STATE_STACK_BYTES_CAP >> 30} GiB state-stack ceiling"
         )
     out = np.empty((len(domain), dim_total, dim_total), dtype=complex)
     for i, seq in enumerate(domain):
@@ -206,7 +227,8 @@ def _subset_distances(
     """0.5 ||avg(B) - center||_1 for every index row B of `rows`, in order.
 
     ``combinations(range(len(states)), k)`` streams every k-subset; the
-    representatives of ``_subset_orbits`` stream one per orbit.  Yields one
+    representatives of ``_subset_orbits`` stream one per orbit; ``_mc_run``
+    passes one batch of distinct drawn subsets at a time.  Yields one
     eigvalsh batch at a time.  Subset sums accumulate one position at a
     time, an eighth of a batch per gather, so about 1.1 batches are held,
     never a (batch, k, D, D) gather.
@@ -277,23 +299,50 @@ def _check_trials_threads(trials: int, threads: int) -> None:
 
 
 def _mc_run(
+    states: np.ndarray,
+    marginal: np.ndarray,
+    draw: Callable[[np.random.Generator], np.ndarray],
+    shape: tuple[int, int],
     trials: int,
     rng_seed: int,
-    trial_fn: Callable[[np.random.Generator], float],
     threads: int = 1,
 ) -> SimEstimate:
+    """Mean over trials of the mean distance of each trial's drawn subsets.
+
+    Trial i calls ``draw(substream(rng_seed, i))`` for `shape` = (subsets,
+    k) sorted index rows.  Trials are drawn in chunks of about
+    ``_MC_CHUNK_INDICES`` indices; a chunk's rows are collapsed to distinct
+    subsets, each distinct subset's 0.5 ||avg(B) - marginal||_1 comes from
+    ``_subset_distances`` in eigvalsh batches of about ``_MC_BATCH_ENTRIES``
+    entries, and the distances are scattered back to the trials.  A subset
+    repeated across chunks is computed again.  The pool maps the batches of
+    distinct subsets; the sums, divisions and per-matrix eigvalsh calls are
+    those of a per-trial loop, so the estimate does not depend on the chunk,
+    the batch or the pool size.
+    """
     _check_trials_threads(trials, threads)
+    rows_per_trial, k = shape
+    dim = states.shape[-1]
+    batch = max(1, _MC_BATCH_ENTRIES // (dim * dim))
+    chunk = max(1, _MC_CHUNK_INDICES // (rows_per_trial * k))
 
-    def one(i: int) -> float:
-        return trial_fn(substream(rng_seed, i))
+    def evaluate(rows: np.ndarray) -> np.ndarray:
+        # `batch` rows never exceed the kernel's own batch, so it yields once
+        return next(_subset_distances(states, marginal, rows))
 
-    # map() keeps trial order, so the estimate does not depend on the pool size
+    values = np.empty(trials)
     workers = min(threads, trials, len(os.sched_getaffinity(0)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.fromiter(pool.map(one, range(trials)), dtype=float, count=trials)
-    else:
-        values = np.fromiter((one(i) for i in range(trials)), dtype=float, count=trials)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool is not None else map
+        for lo in range(0, trials, chunk):
+            count = min(chunk, trials - lo)
+            drawn = np.empty((count, rows_per_trial, k), dtype=np.intp)
+            for j in range(count):
+                drawn[j] = draw(substream(rng_seed, lo + j))
+            distinct, inverse = np.unique(drawn.reshape(-1, k), axis=0, return_inverse=True)
+            batches = (distinct[b : b + batch] for b in range(0, len(distinct), batch))
+            dists = np.concatenate(list(mapper(evaluate, batches)))
+            values[lo : lo + count] = dists[inverse.reshape(count, rows_per_trial)].mean(axis=1)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SimEstimate(mean=mean, trials=trials, std_error=std_error, seed=int(rng_seed))
@@ -312,13 +361,10 @@ def d_sc_monte_carlo(
     if not 1 <= M <= size:
         raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
     _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
-
-    def trial(rng: np.random.Generator) -> float:
-        sel = np.sort(_draw_without_replacement(rng, size, M))
-        diff = states[sel].mean(axis=0) - marginal
-        return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-    return _mc_run(trials, rng_seed, trial, threads)
+    return _mc_run(
+        states, marginal, lambda rng: np.sort(_draw_without_replacement(rng, size, M)),
+        (1, M), trials, rng_seed, threads,
+    )
 
 
 def d_pa_monte_carlo(
@@ -333,12 +379,10 @@ def d_pa_monte_carlo(
     size = src.type.class_size()
     k = _bin_size(size, num_bins)
     _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
-
-    def trial(rng: np.random.Generator) -> float:
-        diffs = states[_draw_binning(rng, num_bins, k)].mean(axis=1) - marginal
-        return float((0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)).mean())
-
-    return _mc_run(trials, rng_seed, trial, threads)
+    return _mc_run(
+        states, marginal, lambda rng: _draw_binning(rng, num_bins, k),
+        (num_bins, k), trials, rng_seed, threads,
+    )
 
 
 def verify_equivalence(

@@ -279,7 +279,10 @@ def simulate_leakage(
             return est, False
 
     pa_joint, joint_exact = pa_term(bins_joint)
-    pa_key, key_exact = pa_term(bins_key)
+    # equal bin counts make the key term the same seeded call
+    pa_key, key_exact = (
+        (pa_joint, joint_exact) if bins_key == bins_joint else pa_term(bins_key)
+    )
     val_joint = pa_joint if joint_exact else pa_joint.mean
     val_key = pa_key if key_exact else pa_key.mean
     bound_sum = float(val_joint + val_key)

@@ -160,6 +160,30 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_oversized_state_stack_exits_3_in_bounded_memory(self):
+        # (5,5) on a qubit source: 252 states of 1024x1024 would stack 3.94 GiB;
+        # under a 1 GiB address-space limit the refusal must come first
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        boot = (
+            "import resource, runpy;"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+            "runpy.run_module('qpamp.cli', run_name='__main__', alter_sys=True)"
+        )
+        argv = ["simulate", SOURCE, "--task", "pa", "--type", "5,5", "--bins", "2",
+                "--trials", "2"]
+        out = subprocess.run(
+            [sys.executable, "-c", boot, *argv], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+        assert out.stdout == ""
+
 
 class TestWiretap:
     def test_threshold(self, capsys):

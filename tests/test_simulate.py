@@ -263,6 +263,28 @@ class TestPrivacyAmplificationDistance:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_state_stack_ceiling_refuses_before_allocating(self, rng, monkeypatch):
+        # (2,2) at d_B = 2 stacks 6 states of 16x16, 24,576 bytes; a smaller
+        # ceiling refuses every route that stacks them, before the stack exists
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=4, counts=(2, 2)))
+        monkeypatch.setattr(simulate, "_STATE_STACK_BYTES_CAP", 6 * 16 * 16 * 16 - 1)
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: d_pa_monte_carlo(src, 2, trials=3, rng_seed=0),
+                lambda: d_sc_monte_carlo(src, 2, trials=3, rng_seed=0),
+                lambda: d_sc_exact(src, 2),
+            ):
+                with pytest.raises(CapacityError, match="state-stack ceiling"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24_576
+        monkeypatch.setattr(simulate, "_STATE_STACK_BYTES_CAP", 6 * 16 * 16 * 16)
+        assert d_sc_exact(src, 2) >= 0.0
+
     def test_refuses_exactly_over_the_binning_cap(self, rng):
         # the gate counts binnings, not the up to num_bins times more subsets
         src = rand_instance(rng, alphabet_size=2, dim=2)
@@ -426,6 +448,97 @@ class TestPooledUnbiasedness:
             num += est.mean - exact
             den += est.std_error**2
         assert abs(num) <= 4.0 * math.sqrt(den)
+
+
+def reference_pa(src, num_bins, trials, seed):
+    """Per-trial loop: one stacked binning and one eigvalsh batch per trial."""
+    k = src.type.class_size() // num_bins
+    _, states, marginal = simulate._prepare(src, cap=10**6)
+    values = []
+    for i in range(trials):
+        bins = simulate._draw_binning(substream(seed, i), num_bins, k)
+        diffs = states[bins].mean(axis=1) - marginal
+        values.append(float((0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)).mean()))
+    return np.array(values)
+
+
+def reference_sc(src, M, trials, seed):
+    """Per-trial loop: one drawn codebook and one eigvalsh per trial."""
+    size = src.type.class_size()
+    _, states, marginal = simulate._prepare(src, cap=10**6)
+    values = []
+    for i in range(trials):
+        sel = np.sort(simulate._draw_without_replacement(substream(seed, i), size, M))
+        diff = states[sel].mean(axis=0) - marginal
+        values.append(0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()))
+    return np.array(values)
+
+
+def as_estimate(values, seed):
+    trials = len(values)
+    std_error = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return simulate.SimEstimate(float(values.mean()), trials, std_error, seed)
+
+
+class TestDeduplicatedMonteCarlo:
+    """Draw -> dedupe -> evaluate -> scatter gives the per-trial loop's numbers."""
+
+    @pytest.mark.parametrize(
+        "counts, dim", [((2, 2), 3), ((2, 1, 1), 3), ((3, 2), 2)]
+    )
+    def test_bit_identical_to_per_trial_loop(self, rng, monkeypatch, counts, dim):
+        # 24 drawn indices per chunk, so 25 trials always span several chunks
+        monkeypatch.setattr(simulate, "_MC_CHUNK_INDICES", 24)
+        states = tuple(random_density(rng, dim) for _ in counts)
+        src = ConstantTypeSource.from_states(
+            states, TypeDistribution(n=sum(counts), counts=counts)
+        )
+        size = src.type.class_size()
+        for seed in (0, 5):
+            for trials in (1, 2, 7, 25):
+                for b in (b for b in range(1, size + 1) if size % b == 0):
+                    ref = as_estimate(reference_pa(src, b, trials, seed), seed)
+                    for threads in (1, 2):
+                        assert d_pa_monte_carlo(src, b, trials, seed, threads=threads) == ref
+                for m in sorted({1, 2, size // 2, size}):
+                    ref = as_estimate(reference_sc(src, m, trials, seed), seed)
+                    for threads in (1, 2):
+                        assert d_sc_monte_carlo(src, m, trials, seed, threads=threads) == ref
+
+    def test_each_distinct_subset_diagonalised_once(self, rng, monkeypatch):
+        # (3,3) at d_B = 2 with 10 bins: 200 trials draw 2,000 pairs among
+        # C(20, 2) = 190, and a per-trial loop diagonalised all 2,000
+        diagonalised = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            diagonalised.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=6, counts=(3, 3)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        est = d_pa_monte_carlo(src, 10, trials=200, rng_seed=3)
+        assert 0 < sum(diagonalised) <= 190
+        assert 0.0 <= est.mean <= 1.0
+
+    def test_memory_does_not_grow_with_trials(self, rng, monkeypatch):
+        # chunks of 100 binnings of (3,2) into 5 pairs each draw nearly all
+        # C(10, 2) = 45 pairs, so 2,000 trials hold what 200 hold apart from
+        # one float per trial; drawing them at once would hold 160 KB of indices
+        monkeypatch.setattr(simulate, "_MC_CHUNK_INDICES", 1000)
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=5, counts=(3, 2)))
+        peaks = {}
+        for trials in (200, 2000):
+            d_pa_monte_carlo(src, 5, trials=trials, rng_seed=1)  # warm caches
+            tracemalloc.start()
+            try:
+                d_pa_monte_carlo(src, 5, trials=trials, rng_seed=1)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] <= peaks[200] + 8 * 2000 + 4096
 
 
 class TestThreads:

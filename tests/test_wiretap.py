@@ -260,6 +260,30 @@ class TestSimulateLeakage:
         direct = wiretap._direct_leakage_exact(eve_src, m, ell)
         assert direct == pytest.approx(total / count, abs=1e-13)
 
+    def test_equal_bin_counts_run_one_monte_carlo(self, rng, monkeypatch):
+        # 5 joint and 5 key bins over (3,3): the exact cap refuses both PA
+        # terms, which are the same seeded 5-bin estimate
+        bob = [diag_dens([1, 0]), diag_dens([0, 1])]
+        eve = [random_density(rng, 2), random_density(rng, 2)]
+        ch = product_channel(bob, eve, [0.5, 0.5])
+        t = TypeDistribution(n=6, counts=(3, 3))
+        calls = []
+        d_pa_monte_carlo = simulate.d_pa_monte_carlo
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return d_pa_monte_carlo(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "d_pa_monte_carlo", counting)
+        rep = simulate_leakage(ch, t, RateAllocation(0.05, 0.2, 0.24), trials=20, rng_seed=4)
+        assert calls == [5]
+        assert rep.bins_joint == rep.bins_key == 5 and not rep.exact
+        eve_src = ConstantTypeSource.from_states(eve_source(ch).states, t)
+        est = d_pa_monte_carlo(eve_src, 5, 20, 4)
+        assert rep.pa_joint == rep.pa_key == est
+        assert rep.bound_sum == float(est.mean + est.mean)
+        assert rep.direct is None
+
     def test_realized_rates_multiply_out(self, rng):
         ch = useless_eve_channel(rng)
         t = TypeDistribution(n=4, counts=(2, 2))
