@@ -261,11 +261,10 @@ def _sweep_fixed_point(
         powers = mu ** alphas[idx, None, None]
         z = powers.sum(axis=-1)
 
+        tilted = np.einsum("axij,axj,axkj->axik", u, powers, u.conj())
         if conditional:
-            tilted = np.einsum("axij,axj,axkj->axik", u, powers, u.conj())
             target = np.einsum("ax,axij->aij", weights[idx], tilted)
         else:
-            tilted = np.einsum("axij,axj,axkj->axik", u, powers, u.conj())
             tilted /= z[:, :, None, None]
             target = np.einsum("x,axij->aij", prior, tilted)
         target = _sym(target)
@@ -386,18 +385,8 @@ def augustin_sandwiched(
 
 
 def augustin_petz_up(src: CQSource, alpha: float) -> float:
-    """Petz-type Augustin-like quantity: p-average of D_alpha(rho_x || rho_B).
-
-    No optimization is involved; the reference state is fixed to the source
-    marginal.
-    """
-    alpha = _check_alpha(alpha, 0.0, 2.0)
-    rho_b = marginal_state(src).entries
-    total = 0.0
-    for p, s in zip(src.prior, src.states):
-        if p > 0.0:
-            total += float(p) * petz_renyi(s, rho_b, alpha)
-    return float(total)
+    """Petz-type Augustin-like quantity at one order; see augustin_petz_up_curve."""
+    return float(augustin_petz_up_curve(src, alpha))
 
 
 def conditional_renyi_sandwiched(
@@ -454,27 +443,42 @@ def conditional_renyi_sandwiched_curve(
     return _fixed_point(src, alphas, True, tol, max_iter)[0]
 
 
-def augustin_petz_up_curve(src: CQSource, alphas) -> np.ndarray:
-    """Petz Augustin-like quantity over a grid of orders, sharing spectra.
+def _support_powers(w: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """w ** t on the support of w and 0 off it, one row per exponent t.
 
-    All orders reuse one eigendecomposition per symbol state plus one of the
-    marginal, so the whole curve costs barely more than a single point.
+    Each row takes its exponent as a Python float, as _petz_trace does: numpy
+    computes t = 2, 0.5 and -1 exactly then, and a broadcast power may not.
+    """
+    mask = w > w[-1] * SUPPORT_CUTOFF
+    base = np.where(mask, w, 1.0)
+    return np.array([base ** float(t) for t in exps]).reshape(-1, w.size) * mask
+
+
+def augustin_petz_up_curve(src: CQSource, alphas) -> np.ndarray:
+    """Petz-type Augustin-like quantity: p-average of D_alpha(rho_x || rho_B).
+
+    No optimization is involved; the reference state is fixed to the source
+    marginal.  ``alphas`` is one order or an array of them, and the result has
+    its shape.  All orders reuse one eigendecomposition per symbol state plus
+    one of the marginal, and each order rounds exactly as petz_renyi does.
     """
     alphas = np.asarray(alphas, dtype=float)
-    for a in alphas:
+    for a in alphas.flat:
         _check_alpha(a, 0.0, 2.0)
+    orders = alphas.reshape(-1)
     rho_b = marginal_state(src).entries
     mw, mv = _state_eigs(rho_b)
-    smask = mw > mw[-1] * SUPPORT_CUTOFF
-    out = np.zeros_like(alphas)
+    pb = _support_powers(mw, 1.0 - orders)[:, :, None]
+    out = np.zeros_like(orders)
     for p, s in zip(src.prior, src.states):
         if p <= 0.0:
             continue
         lw, lv = _state_eigs(s.entries)
-        lmask = lw > lw[-1] * SUPPORT_CUTOFF
         overlap = np.abs(lv.conj().T @ mv) ** 2
-        la = lw[lmask][:, None] ** alphas[None, :]  # (r, na)
-        mb = mw[smask][:, None] ** (1.0 - alphas[None, :])
-        q = np.einsum("ia,ij,ja->a", la, overlap[np.ix_(lmask, smask)], mb)
-        out += float(p) * np.log(q) / (alphas - 1.0)
-    return out
+        q = (_support_powers(lw, orders)[:, None, :] @ overlap @ pb)[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(q > 0.0, np.log(q) / (orders - 1.0), INF)
+        if _support_leak(s.entries, mw, mv) > SUPPORT_LEAK_ATOL:
+            value[orders > 1.0] = INF
+        out += float(p) * value
+    return out.reshape(alphas.shape)

@@ -12,7 +12,7 @@ kind supplies its row, the shift c (the rate and an entropy-like term) and
 the offset.  ``_sup_over_alpha`` evaluates the objective on a fixed grid
 pulled slightly inside the interval (the endpoints are singular in the
 prefactors) with one batched curve call, then refines the best bracket by
-golden-section search.  The refinement evaluates, in one batched call, every
+golden-section search on the same curve function.  The refinement evaluates, in one batched call, every
 point the next LOOKAHEAD golden steps may need, so it takes the same steps
 and returns the same floats as a search with one solve per step.  Exponents
 are reported in nats per symbol; negative values mean the bound is vacuous
@@ -20,10 +20,10 @@ and are reported as-is.
 
 The grid curve does not depend on the rate, so it is memoised: kinds and
 rates that share a source share one sweep.  The memo is keyed by a digest of
-the content (family, prior, states, grid, tol, max_iter), never by object
-identity, so a rebuilt equal source hits.  It holds read-only value arrays
-only, never an error, and evicts least-recently-used curves to stay within
-CURVE_MEMO_BYTES.  No flag controls it.  Refinement points are not memoised.
+the content (family, prior, states, grid), never by object identity, so a
+rebuilt equal source hits.  It holds read-only value arrays only, never an
+error, and evicts least-recently-used curves to stay within CURVE_MEMO_BYTES.
+No flag controls it.  Refinement points are not memoised.
 A divergence function replaced after a curve is cached (a tracer or a test
 double) is not called on a hit.
 """
@@ -73,44 +73,29 @@ class ExponentReport:
 
 
 class _Family(NamedTuple):
-    """Open alpha interval of a curve Q; Q over a grid and over refinement points.
+    """Open alpha interval of a curve Q, and Q over an array of orders.
 
-    Both are called as (source, alphas, tol, max_iter).  ``refine`` also takes
-    one order, and then raises the ConvergenceError of the family's
+    ``curve`` is called as (source, alphas) for the grid and the refinement
+    alike.  Given one order it raises the ConvergenceError of the family's
     single-point solve (``best`` an AugustinResult for the fixed-point rows).
     """
 
     lo: float
     hi: float
-    curve: Callable[[CQSource, np.ndarray, float, int], np.ndarray]
-    refine: Callable[[CQSource, np.ndarray, float, int], np.ndarray]
-
-
-def _petz_up_points(src: CQSource, alphas) -> np.ndarray:
-    # One point solve per order: the vectorised Petz curve rounds differently.
-    return np.array([dv.augustin_petz_up(src, b) for b in np.atleast_1d(2.0 - 1.0 / alphas)])
+    curve: Callable[[CQSource, np.ndarray], np.ndarray]
 
 
 # The divergence functions are looked up when called, so code that replaces
 # one of them (a tracer, a test double) sees every call made from here, except
-# grid curves the memo already holds.  The fixed-point sweep freezes each
-# order on its own, so a batch of orders gives the same floats as one solve
-# per order, and a memoised grid curve the same floats as a fresh sweep.
+# grid curves the memo already holds.  Every curve computes each order on its
+# own (the fixed-point sweep freezes each order as it converges), so a batch
+# of orders gives the same floats as one order at a time, and a memoised grid
+# curve the same floats as a fresh one.
 _FAMILIES = {
-    "augustin": _Family(
-        1.0, 2.0,
-        lambda src, a, tol, it: dv.augustin_sandwiched_curve(src, a, tol, it),
-        lambda src, a, tol, it: dv.augustin_sandwiched_curve(src, a, tol, it),
-    ),
-    "petz-up": _Family(
-        0.5, 1.0,
-        lambda src, a, tol, it: dv.augustin_petz_up_curve(src, 2.0 - 1.0 / a),
-        lambda src, a, tol, it: _petz_up_points(src, a),
-    ),
+    "augustin": _Family(1.0, 2.0, lambda src, a: dv.augustin_sandwiched_curve(src, a)),
+    "petz-up": _Family(0.5, 1.0, lambda src, a: dv.augustin_petz_up_curve(src, 2.0 - 1.0 / a)),
     "neg-conditional": _Family(
-        1.0, 2.0,
-        lambda src, a, tol, it: -dv.conditional_renyi_sandwiched_curve(src, a, tol, it),
-        lambda src, a, tol, it: -dv.conditional_renyi_sandwiched_curve(src, a, tol, it),
+        1.0, 2.0, lambda src, a: -dv.conditional_renyi_sandwiched_curve(src, a)
     ),
 }
 
@@ -150,18 +135,16 @@ class _CurveMemo:
 _CURVES = _CurveMemo()
 
 
-def _grid_curve(
-    src: CQSource, family: str, alphas: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
+def _grid_curve(src: CQSource, family: str, alphas: np.ndarray) -> np.ndarray:
     """The family's curve over the grid ``alphas``, computed once per content."""
-    digest = hashlib.sha256(repr((family, tol, max_iter)).encode())
+    digest = hashlib.sha256(family.encode())
     for part in (src.prior, src.state_stack(), alphas):
         digest.update(repr((part.dtype.str, part.shape)).encode())
         digest.update(part.tobytes())
     key = digest.digest()
     curve = _CURVES.get(key)
     if curve is None:
-        curve = np.array(_FAMILIES[family].curve(src, alphas, tol, max_iter))
+        curve = np.array(_FAMILIES[family].curve(src, alphas))
         curve.setflags(write=False)
         _CURVES.put(key, curve)
     return curve
@@ -242,8 +225,6 @@ def _sup_over_alpha(
     *,
     offset: float = -0.0,
     points: int = GRID_POINTS,
-    tol: float = dv.DEFAULT_TOL,
-    max_iter: int = dv.DEFAULT_MAX_ITER,
 ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
     """offset + sup over the family's interval of ((1-a)/a)(Q(a) - c).
 
@@ -264,11 +245,11 @@ def _sup_over_alpha(
         return offset + (1.0 - a) / a * q
 
     alphas = np.linspace(fam.lo + ALPHA_MARGIN, fam.hi - ALPHA_MARGIN, points)
-    vals = objective(_grid_curve(src, family, alphas, tol, max_iter), alphas)
+    vals = objective(_grid_curve(src, family, alphas), alphas)
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
     ra, rv = _golden_max(
-        lambda a: objective(fam.refine(src, a, tol, max_iter), a),
+        lambda a: objective(fam.curve(src, a), a),
         float(alphas[max(i - 1, 0)]),
         float(alphas[min(i + 1, points - 1)]),
     )
@@ -298,8 +279,6 @@ def sc_achievability_exponent(
     *,
     n: int | None = None,
     points: int = GRID_POINTS,
-    tol: float = dv.DEFAULT_TOL,
-    max_iter: int = dv.DEFAULT_MAX_ITER,
 ) -> ExponentReport:
     """Soft-covering achievability exponent at codebook rate R (nats/symbol).
 
@@ -310,9 +289,7 @@ def sc_achievability_exponent(
     """
     _check_rate(rate)
     _check_n(n)
-    a, v, curve = _sup_over_alpha(
-        src, "augustin", (rate,), points=points, tol=tol, max_iter=max_iter
-    )
+    a, v, curve = _sup_over_alpha(src, "augustin", (rate,), points=points)
     mutual = dv.holevo_mutual_info(src)
     return ExponentReport(
         exponent=v,
@@ -374,8 +351,6 @@ def pa_achievability_exponent(
     n: int | None = None,
     finite_n: bool = False,
     points: int = GRID_POINTS,
-    tol: float = dv.DEFAULT_TOL,
-    max_iter: int = dv.DEFAULT_MAX_ITER,
 ) -> ExponentReport:
     """Privacy-amplification achievability exponent on a constant-type source.
 
@@ -386,9 +361,7 @@ def pa_achievability_exponent(
     _check_rate(rate)
     _check_n(n)
     entropy, label = _entropy_term(src, n, finite_n)
-    a, v, curve = _sup_over_alpha(
-        src, "augustin", (entropy, -rate), points=points, tol=tol, max_iter=max_iter
-    )
+    a, v, curve = _sup_over_alpha(src, "augustin", (entropy, -rate), points=points)
     if finite_n:
         prefactor = 0.0
     elif n is not None:
@@ -452,21 +425,15 @@ def conditional_entropy_limit(src: CQSource) -> float:
     return dv.shannon_entropy(src.prior) - dv.holevo_mutual_info(src)
 
 
-def constant_type_advantage(
-    src: CQSource,
-    alpha: float,
-    *,
-    tol: float = dv.DEFAULT_TOL,
-    max_iter: int = dv.DEFAULT_MAX_ITER,
-) -> float:
+def constant_type_advantage(src: CQSource, alpha: float) -> float:
     """(H(p) - I_aug*(alpha)) - H*_alpha(X|B), nonnegative for alpha > 1.
 
     This is the margin by which the constant-type exponent bracket dominates
     the conditional-Renyi-entropy bracket at the same order.
     """
     hp = dv.shannon_entropy(src.prior)
-    aug = dv.augustin_sandwiched(src, alpha, tol, max_iter).value
-    cond = dv.conditional_renyi_sandwiched(src, alpha, tol, max_iter)
+    aug = dv.augustin_sandwiched(src, alpha).value
+    cond = dv.conditional_renyi_sandwiched(src, alpha)
     return (hp - aug) - cond
 
 
@@ -475,17 +442,13 @@ def dupuis_exponent(
     rate: float,
     *,
     points: int = GRID_POINTS,
-    tol: float = dv.DEFAULT_TOL,
-    max_iter: int = dv.DEFAULT_MAX_ITER,
 ) -> ExponentReport:
     """I.i.d. privacy-amplification exponent via the conditional Renyi entropy.
 
     sup over alpha in (1,2) of ((alpha-1)/alpha)(H*_alpha(X|B) - R).
     """
     _check_rate(rate)
-    a, v, curve = _sup_over_alpha(
-        src, "neg-conditional", (-rate,), points=points, tol=tol, max_iter=max_iter
-    )
+    a, v, curve = _sup_over_alpha(src, "neg-conditional", (-rate,), points=points)
     return ExponentReport(
         exponent=v,
         alpha_star=a,
@@ -508,8 +471,6 @@ def iid_exponent_via_types(
     *,
     points: int = GRID_POINTS,
     scan_points: int = SCAN_POINTS,
-    tol: float = dv.DEFAULT_TOL,
-    max_iter: int = dv.DEFAULT_MAX_ITER,
     cap: int = 10**4,
 ) -> ExponentReport:
     """I.i.d. privacy-amplification exponent by scanning all n-types.
@@ -534,9 +495,7 @@ def iid_exponent_via_types(
             continue
         src_q = CQSource(prior=q, states=src.states)
         shift = (dv.shannon_entropy(q), -rate)
-        _, v, _ = _sup_over_alpha(
-            src_q, "augustin", shift, offset=dq, points=scan_points, tol=tol, max_iter=max_iter
-        )
+        _, v, _ = _sup_over_alpha(src_q, "augustin", shift, offset=dq, points=scan_points)
         if v < best_val:
             best_val = v
             best = (t, src_q, shift, dq)
@@ -544,9 +503,7 @@ def iid_exponent_via_types(
         raise InvalidInputError("no n-type lies inside the support of the prior")
 
     best_type, src_q, shift, dq = best
-    a, v, curve = _sup_over_alpha(
-        src_q, "augustin", shift, offset=dq, points=points, tol=tol, max_iter=max_iter
-    )
+    a, v, curve = _sup_over_alpha(src_q, "augustin", shift, offset=dq, points=points)
     return ExponentReport(
         exponent=v,
         alpha_star=a,

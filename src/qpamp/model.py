@@ -36,6 +36,8 @@ class CQSource:
         states = tuple(self.states)
         if prior.ndim != 1 or prior.size != len(states) or not states:
             raise InvalidInputError("prior and states must have matching nonzero length")
+        if not np.isfinite(prior).all():
+            raise InvalidInputError(f"prior has non-finite entries: {prior}")
         if prior.min() < 0.0:
             raise InvalidInputError("prior has negative entries")
         if abs(prior.sum() - 1.0) > PRIOR_ATOL:
@@ -235,7 +237,6 @@ def source_from_json(obj: dict) -> CQSource:
     for key in ("prior", "states"):
         if key not in obj:
             raise InvalidInputError(f"source JSON is missing the '{key}' field")
-    prior = obj["prior"]
     states_json = obj["states"]
     if not isinstance(states_json, list) or not states_json:
         raise InvalidInputError("'states' must be a nonempty list of matrices")
@@ -244,5 +245,15 @@ def source_from_json(obj: dict) -> CQSource:
     )
     labels = obj.get("alphabet")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise InvalidInputError("'alphabet' must be a list of labels")
         labels = tuple(str(x) for x in labels)
-    return CQSource(prior=np.asarray(prior, dtype=float), states=states, labels=labels)
+    return CQSource(prior=prior_from_json(obj["prior"]), states=states, labels=labels)
+
+
+def prior_from_json(values) -> np.ndarray:
+    """A JSON prior as a float array; InvalidInputError if it is not numeric."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"'prior' must be a list of numbers: {exc}") from exc

@@ -26,7 +26,7 @@ from .exponent import (
     _entropy_term,
     _sup_over_alpha,
 )
-from .model import CQSource, ConstantTypeSource, TypeDistribution
+from .model import CQSource, ConstantTypeSource, TypeDistribution, prior_from_json
 from .qmat import DensityOperator, HermitianOperator, _entries
 
 
@@ -46,7 +46,11 @@ class WiretapChannel:
             raise InvalidInputError(f"dims must be positive, got {self.dims}")
         if prior.ndim != 1 or prior.size != len(states) or not states:
             raise InvalidInputError("prior and joint_states must have matching length")
-        if prior.min() < 0.0 or abs(prior.sum() - 1.0) > 1e-12:
+        if (
+            not np.isfinite(prior).all()
+            or prior.min() < 0.0
+            or abs(prior.sum() - 1.0) > 1e-12
+        ):
             raise InvalidInputError("prior must be a probability vector")
         for s in states:
             if s.dim != d_b * d_e:
@@ -138,8 +142,6 @@ def secrecy_exponent(
     rate: float,
     *,
     points: int = GRID_POINTS,
-    tol: float = dv.DEFAULT_TOL,
-    max_iter: int = dv.DEFAULT_MAX_ITER,
 ) -> ExponentReport:
     """Achievable secrecy exponent at message rate R (nats/symbol).
 
@@ -150,9 +152,7 @@ def secrecy_exponent(
     _check_rate(rate)
     eve = eve_source(ch)
     mutual_b = dv.holevo_mutual_info(bob_source(ch))
-    a, v, curve = _sup_over_alpha(
-        eve, "augustin", (mutual_b, -rate), points=points, tol=tol, max_iter=max_iter
-    )
+    a, v, curve = _sup_over_alpha(eve, "augustin", (mutual_b, -rate), points=points)
     return ExponentReport(
         exponent=v,
         alpha_star=a,
@@ -353,15 +353,19 @@ def channel_from_json(obj: dict) -> WiretapChannel:
     for key in ("prior", "joint_states", "dims"):
         if key not in obj:
             raise InvalidInputError(f"channel JSON is missing the '{key}' field")
+    states_json = obj["joint_states"]
+    if not isinstance(states_json, list) or not states_json:
+        raise InvalidInputError("'joint_states' must be a nonempty list of matrices")
     states = tuple(
-        DensityOperator(HermitianOperator(matrix_from_json(mj)))
-        for mj in obj["joint_states"]
+        DensityOperator(HermitianOperator(matrix_from_json(mj))) for mj in states_json
     )
     dims = obj["dims"]
-    if not isinstance(dims, (list, tuple)) or len(dims) != 2:
-        raise InvalidInputError("'dims' must be a [d_B, d_E] pair")
+    if not (
+        isinstance(dims, list)
+        and len(dims) == 2
+        and all(isinstance(d, int) and not isinstance(d, bool) for d in dims)
+    ):
+        raise InvalidInputError(f"'dims' must be a [d_B, d_E] pair of integers, got {dims!r}")
     return WiretapChannel(
-        prior=np.asarray(obj["prior"], dtype=float),
-        joint_states=states,
-        dims=(int(dims[0]), int(dims[1])),
+        prior=prior_from_json(obj["prior"]), joint_states=states, dims=tuple(dims)
     )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qpamp.model import CQSource, ConstantTypeSource, TypeDistribution
+from qpamp import divergence as dv
+from qpamp.model import CQSource, ConstantTypeSource, TypeDistribution, marginal_state
 from qpamp.qmat import DensityOperator, HermitianOperator, random_density, random_pure
 
 
@@ -20,6 +21,16 @@ def rand_source(rng, alphabet_size, dim, *, mix=0.0, pure=False) -> CQSource:
         prior=rng.dirichlet(np.ones(alphabet_size)),
         states=tuple(make() for _ in range(alphabet_size)),
     )
+
+
+def petz_up_by_symbol(src: CQSource, alpha: float) -> float:
+    """The Petz Augustin-like quantity summed one Petz-Renyi divergence at a time."""
+    rho_b = marginal_state(src)
+    total = 0.0
+    for p, s in zip(src.prior, src.states):
+        if p > 0.0:
+            total += float(p) * dv.petz_renyi(s, rho_b, alpha)
+    return total
 
 
 #: (n, counts) pairs with |T^n| <= 12, keyed by alphabet size

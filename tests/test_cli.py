@@ -320,6 +320,33 @@ class TestErrors:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "argv, base, field, value",
+        [
+            (["augustin", "{}", "--alpha", "1.5"], SOURCE, "prior", [None, 1.0]),
+            (["info", "{}"], SOURCE, "prior", [0.5, math.nan]),
+            (["info", "{}"], SOURCE, "prior", "abc"),
+            (["info", "{}"], SOURCE, "alphabet", 5),
+            (["wiretap", "{}", "--rate", "0.05"], CHANNEL, "prior", [None, 1.0]),
+            (["wiretap", "{}", "--rate", "0.05"], CHANNEL, "dims", ["a", 2]),
+            (["wiretap", "{}", "--rate", "0.05"], CHANNEL, "joint_states", 3),
+        ],
+        ids=[
+            "source-prior-null", "source-prior-nan", "source-prior-string",
+            "source-alphabet-number", "channel-prior-null", "channel-dims-string",
+            "channel-joint_states-number",
+        ],
+    )
+    def test_malformed_field_exits_1_naming_it(self, capsys, tmp_path, argv, base, field, value):
+        with open(base) as f:
+            obj = json.load(f)
+        obj[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, [str(path) if a == "{}" else a for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize(
         "argv, module, function",
         [
             (["exponent", SOURCE, "--kind", "iid", "--rate", "0.1", "--n", "6",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import diag_source, rand_source
+from conftest import diag_source, petz_up_by_symbol, rand_source
 from qpamp.errors import ConvergenceError, InvalidParameterError
 from qpamp import divergence as dv
 from qpamp.model import CQSource
@@ -256,11 +256,26 @@ class TestAugustinPetzUp:
             assert dv.augustin_petz_up(src, a) == pytest.approx(expected, abs=1e-10)
 
     def test_curve_matches_single(self, rng):
-        src = rand_source(rng, 3, 3)
-        alphas = np.array([0.3, 0.8, 1.2, 1.9])
-        curve = dv.augustin_petz_up_curve(src, alphas)
-        for a, v in zip(alphas, curve):
-            assert dv.augustin_petz_up(src, a) == pytest.approx(v, abs=1e-12)
+        # mixed, rank-deficient and pure states; in the last source the second
+        # state sticks out of the marginal's support, so orders above 1 are +inf.
+        # Orders 0.5 and 2 take numpy's exact sqrt / square / reciprocal paths,
+        # which a broadcast power misses on some of the mixed sources.
+        sources = [rand_source(rng, 3, 3) for _ in range(12)]
+        v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        rank_two = DensityOperator(HermitianOperator(v @ v.conj().T / np.trace(v @ v.conj().T)))
+        sources += [
+            CQSource(prior=np.array([0.4, 0.6]), states=(rank_two, random_density(rng, 3))),
+            rand_source(rng, 2, 3, pure=True),
+            CQSource(prior=np.array([1.0 - 1e-13, 1e-13]), states=(dens([1, 0]), dens([0.5, 0.5]))),
+        ]
+        alphas = np.array([0.3, 0.5, 0.8, 1.2, 1.9, 2.0])
+        for src in sources:
+            curve = dv.augustin_petz_up_curve(src, alphas)
+            for a, value in zip(alphas, curve):
+                assert dv.augustin_petz_up(src, a) == value
+                assert petz_up_by_symbol(src, a) == value
+        assert np.all(np.isfinite(curve[alphas < 1.0]))
+        assert np.all(curve[alphas > 1.0] == math.inf)
 
 
 class TestConditionalRenyi:

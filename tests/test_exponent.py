@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import diag_source, rand_instance, rand_source
+from conftest import diag_source, petz_up_by_symbol, rand_instance, rand_source
 from qpamp.errors import ConvergenceError, InvalidInputError, InvalidParameterError
 from qpamp import divergence as dv
 from qpamp import exponent, wiretap
@@ -23,6 +24,12 @@ def empty_curve_memo():
     exponent._CURVES.clear()
     yield
     exponent._CURVES.clear()
+
+
+def _one_iteration_sweeps(monkeypatch):
+    """Make every Augustin sweep stop after one fixed-point step."""
+    curve = partial(dv.augustin_sandwiched_curve, max_iter=1)
+    monkeypatch.setattr(dv, "augustin_sandwiched_curve", curve)
 
 
 def trivial_source(p=(0.3, 0.7), dim=2, seed=0) -> CQSource:
@@ -73,15 +80,17 @@ class TestScAchievability:
         assert 1.0 < rep.alpha_star < 2.0
         assert rep.meta["kind"] == "sc-direct"
 
-    def test_convergence_failure_propagates(self, rng):
+    def test_convergence_failure_propagates(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2)
+        _one_iteration_sweeps(monkeypatch)
         with pytest.raises(ConvergenceError):
-            exponent.sc_achievability_exponent(src, 0.2, points=20, max_iter=1)
+            exponent.sc_achievability_exponent(src, 0.2, points=20)
 
-    def test_grid_convergence_message_is_bounded(self, rng):
+    def test_grid_convergence_message_is_bounded(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2)
+        _one_iteration_sweeps(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
-            exponent.sc_achievability_exponent(src, 0.1, max_iter=1)
+            exponent.sc_achievability_exponent(src, 0.1)
         msg = str(err.value)
         assert len(msg) < 300
         assert "400 of 400 orders" in msg
@@ -357,11 +366,6 @@ class TestValidation:
                 with pytest.raises(InvalidParameterError):
                     fn(src, rate)
 
-    @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
-    def test_bad_max_iter_rejected(self, max_iter):
-        with pytest.raises(InvalidParameterError, match="max_iter"):
-            exponent.sc_achievability_exponent(trivial_source(), 0.1, max_iter=max_iter)
-
     def test_iid_requires_valid_n(self):
         with pytest.raises(InvalidParameterError):
             exponent.iid_exponent_via_types(trivial_source(), 0.1, 0)
@@ -383,9 +387,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: each curve family at one order, one solve per call
 _POINT = {
-    "augustin": lambda src, a, tol, it: dv.augustin_sandwiched(src, a, tol, it).value,
-    "petz-up": lambda src, a, tol, it: dv.augustin_petz_up(src, 2.0 - 1.0 / a),
-    "neg-conditional": lambda src, a, tol, it: -dv.conditional_renyi_sandwiched(src, a, tol, it),
+    "augustin": lambda src, a: dv.augustin_sandwiched(src, a).value,
+    "petz-up": lambda src, a: petz_up_by_symbol(src, 2.0 - 1.0 / a),
+    "neg-conditional": lambda src, a: -dv.conditional_renyi_sandwiched(src, a),
 }
 
 
@@ -414,7 +418,7 @@ def sequential_golden(fn, lo, hi, visited=None):
 
 
 def sequential_sup(src, family, shift, *, offset=-0.0, points=exponent.GRID_POINTS,
-                   tol=dv.DEFAULT_TOL, max_iter=dv.DEFAULT_MAX_ITER, visited=None):
+                   visited=None):
     """The sup over alpha with its refinement on single-point solves."""
     fam = exponent._FAMILIES[family]
 
@@ -424,11 +428,11 @@ def sequential_sup(src, family, shift, *, offset=-0.0, points=exponent.GRID_POIN
         return offset + (1.0 - a) / a * q
 
     alphas = np.linspace(fam.lo + exponent.ALPHA_MARGIN, fam.hi - exponent.ALPHA_MARGIN, points)
-    vals = objective(fam.curve(src, alphas, tol, max_iter), alphas)
+    vals = objective(fam.curve(src, alphas), alphas)
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
     ra, rv = sequential_golden(
-        lambda a: objective(_POINT[family](src, a, tol, max_iter), a),
+        lambda a: objective(_POINT[family](src, a), a),
         float(alphas[max(i - 1, 0)]),
         float(alphas[min(i + 1, points - 1)]),
         visited,
@@ -504,26 +508,27 @@ class TestSpeculativeRefinement:
         assert sizes == refinement  # the grid curve comes from the memo
 
     def _stub_family(self, monkeypatch, fam, fail_at):
-        def refine(src, alphas, tol, max_iter):
+        def curve(src, alphas):
             if fail_at in np.atleast_1d(alphas):
                 raise ConvergenceError(f"stub failure at {fail_at}")
-            return fam.refine(src, alphas, tol, max_iter)
+            return fam.curve(src, alphas)
 
-        monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(refine=refine))
+        monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(curve=curve))
 
     def test_unread_failure_is_not_raised(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2, mix=0.1)
         read = []
         sequential_sup(src, "augustin", (0.2,), visited=read)
+        ref = exponent.sc_achievability_exponent(src, 0.2)  # the grid, from now on memoised
         evaluated = []
         fam = exponent._FAMILIES["augustin"]
 
-        def recording(src, alphas, tol, max_iter):
+        def recording(src, alphas):
             evaluated.extend(np.atleast_1d(alphas))
-            return fam.refine(src, alphas, tol, max_iter)
+            return fam.curve(src, alphas)
 
-        monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(refine=recording))
-        ref = exponent.sc_achievability_exponent(src, 0.2)
+        monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(curve=recording))
+        assert exponent.sc_achievability_exponent(src, 0.2) == ref
         unread = sorted(set(evaluated) - set(read))
         assert unread
         for point in (unread[0], unread[len(unread) // 2], unread[-1]):
@@ -547,12 +552,14 @@ class TestSpeculativeRefinement:
             ("neg-conditional", dv.conditional_renyi_sandwiched),
         ],
     )
-    def test_one_order_raises_the_single_point_error(self, rng, family, solve):
+    def test_one_order_raises_the_single_point_error(self, monkeypatch, rng, family, solve):
         src = rand_source(rng, 2, 2)
         with pytest.raises(ConvergenceError) as scalar:
             solve(src, 1.5, dv.DEFAULT_TOL, 2)
+        name = _GRID_FUNCTIONS[family]
+        monkeypatch.setattr(dv, name, partial(getattr(dv, name), max_iter=2))
         with pytest.raises(ConvergenceError) as refine:
-            exponent._FAMILIES[family].refine(src, 1.5, dv.DEFAULT_TOL, 2)
+            exponent._FAMILIES[family].curve(src, 1.5)
         assert str(refine.value) == str(scalar.value)
         assert isinstance(refine.value.best, dv.AugustinResult)
         assert refine.value.best.iterations == 2
@@ -560,7 +567,7 @@ class TestSpeculativeRefinement:
 
 # -- grid-curve memo -------------------------------------------------------------
 
-#: the function behind each family's grid sweep
+#: the function behind each family's curve, on the grid and in refinement
 _GRID_FUNCTIONS = {
     "augustin": "augustin_sandwiched_curve",
     "petz-up": "augustin_petz_up_curve",
@@ -627,20 +634,17 @@ class TestCurveCache:
         nudged[0] = np.nextafter(nudged[0], 1.0)
         exponent.sc_achievability_exponent(_rebuilt(src, nudged), 0.1)
         assert counts["augustin"] == 2
-        exponent.sc_achievability_exponent(src, 0.1, tol=dv.DEFAULT_TOL / 2)
-        assert counts["augustin"] == 3
-        exponent.sc_achievability_exponent(src, 0.1, max_iter=dv.DEFAULT_MAX_ITER + 1)
-        assert counts["augustin"] == 4
         fewer = _count_grid_calls(monkeypatch, points=exponent.GRID_POINTS - 1)
         exponent.sc_achievability_exponent(src, 0.1, points=exponent.GRID_POINTS - 1)
         assert fewer["augustin"] == 1
 
     def test_errors_are_not_cached(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2)
+        _one_iteration_sweeps(monkeypatch)
         counts = _count_grid_calls(monkeypatch, points=20)
         for _ in range(2):
             with pytest.raises(ConvergenceError):
-                exponent.sc_achievability_exponent(src, 0.2, points=20, max_iter=1)
+                exponent.sc_achievability_exponent(src, 0.2, points=20)
         assert counts["augustin"] == 2
         assert not exponent._CURVES._curves
 
