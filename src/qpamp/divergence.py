@@ -7,7 +7,8 @@ Two quantum Renyi families appear: the Petz form
 information and sandwiched conditional Renyi entropy) have no closed form;
 they are computed by a damped fixed-point iteration over density operators and
 certified in the test suite against independent scalar and grid oracles rather
-than by a convergence proof.
+than by a convergence proof.  The module needs numpy only: its log-sum-exp is
+a private kernel that rounds as SciPy's ``logsumexp`` does.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, InvalidParameterError
 from .model import CQSource, marginal_state
@@ -62,6 +62,27 @@ def kl_divergence(q, p) -> float:
         return INF
     mask = qa > 0.0
     return float(np.sum(qa[mask] * np.log(qa[mask] / pa[mask])))
+
+
+def _logsumexp(a, axis=None) -> np.ndarray:
+    """log(sum(exp(a))) over ``axis`` of a real array, as SciPy 1.17 rounds it.
+
+    The entries equal to the maximum are taken out of the shifted sum and
+    added back as log(count), so the result is log1p(s) + log(m) + a_max.
+    Where that is not finite (all -inf, an inf or a nan), the direct
+    log(sum(exp(a))) is returned instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -INF, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+    return np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)[()]
 
 
 def _state_eigs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +335,7 @@ def _objective_at(
         logz = np.log(z)
     if conditional:
         logterms = alphas[:, None] * np.log(prior[None, :]) + logz
-        g = logsumexp(logterms, axis=1) / (alphas - 1.0)
+        g = _logsumexp(logterms, axis=1) / (alphas - 1.0)
         return -g
     return (prior[None, :] * logz).sum(axis=1) / (alphas - 1.0)
 
@@ -416,7 +437,7 @@ def conditional_renyi_petz_down(src: CQSource, alpha: float) -> float:
             if q <= 0.0:
                 return -INF if alpha < 1.0 else INF
             logterms.append(alpha * np.log(float(p)) + np.log(q))
-    return float(-logsumexp(logterms) / (alpha - 1.0))
+    return float(-_logsumexp(logterms) / (alpha - 1.0))
 
 
 def augustin_sandwiched_curve(

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import divergence as dv
-from .errors import ConvergenceError, InvalidInputError, InvalidParameterError
+from .errors import CapacityError, ConvergenceError, InvalidInputError, InvalidParameterError
 from .model import CQSource, TypeDistribution, enumerate_n_types, type_class_log_size
 
 #: distance kept from the open interval endpoints when gridding alpha
@@ -57,6 +57,9 @@ REFINE_XTOL = 1e-8
 LOOKAHEAD = 3
 #: memory the grid-curve memo may hold, keys and arrays included
 CURVE_MEMO_BYTES = 1 << 20
+#: ceiling on points * |X| * d_B^2 * 16, the bytes of one grid's stacked
+#: per-order states; a fixed-point sweep peaks at 10-14 times this
+_GRID_BYTES_CAP = 1 << 26
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -237,6 +240,11 @@ def _sup_over_alpha(
     """
     if points < 2:
         raise InvalidParameterError(f"points must be >= 2, got {points}")
+    if (grid_bytes := points * src.alphabet_size * src.dim_b**2 * 16) > _GRID_BYTES_CAP:
+        raise CapacityError(
+            f"{points} orders of {src.alphabet_size} {src.dim_b}x{src.dim_b} states need "
+            f"{grid_bytes / 2**20:.0f} MiB, over the {_GRID_BYTES_CAP >> 20} MiB alpha-grid ceiling"
+        )
     fam = _FAMILIES[family]
 
     def objective(q, a):

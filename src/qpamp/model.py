@@ -1,8 +1,8 @@
 """Classical-quantum sources, n-types, and type-class machinery.
 
 Sequences over the alphabet are integer tuples indexing the symbols, and all
-entropic quantities are in nats.  Combinatorics run in the log-gamma domain,
-with exact integer multinomials used wherever divisibility matters.
+entropic quantities are in nats.  Combinatorics run in the log-factorial
+domain, with exact integer multinomials used wherever divisibility matters.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import qmat
 from .errors import CapacityError, InvalidInputError
@@ -21,6 +20,17 @@ from .qmat import DensityOperator, HermitianOperator
 #: default cap on the number of sequences / types an enumeration may produce
 ENUMERATION_CAP = 10**6
 PRIOR_ATOL = 1e-12
+#: log(sqrt(2 pi)) and the Stirling-series coefficients in 1/x^2 of cephes
+#: lgam, below x = 1000 and from there on
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
 
 
 @dataclass(frozen=True)
@@ -142,11 +152,33 @@ def sequence_state(src: CQSource, x_seq: Sequence[int]) -> DensityOperator:
     return DensityOperator(qmat.tensor([src.states[x] for x in seq]))
 
 
+def _log_factorial(k: int) -> float:
+    """log k!, rounded as cephes lgam(k + 1) (SciPy's gammaln) rounds it.
+
+    Below x = k + 1 = 13 it is the log of the exact product; above, Stirling's
+    series with a 5-term correction, 3 terms from x = 1000 and none above 1e8.
+    """
+    x = float(k) + 1.0
+    if x < 13.0:
+        z = u = 1.0
+        # cephes multiplies (x-1)(x-2)...2, exact below 13
+        while x - u >= 2.0:
+            z *= x - u
+            u += 1.0
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    poly = 0.0
+    for c in _LGAM_A if x < 1000.0 else _LGAM_B:
+        poly = poly * p + c
+    return q + poly / x
+
+
 def type_class_log_size(t: TypeDistribution) -> float:
-    """log |T^n_q| in nats, via log-gamma."""
-    return float(
-        gammaln(t.n + 1) - sum(gammaln(c + 1) for c in t.counts)
-    )
+    """log |T^n_q| in nats, as log n! - sum_x log N(x)!."""
+    return _log_factorial(t.n) - sum(_log_factorial(c) for c in t.counts)
 
 
 def enumerate_type_class(

@@ -54,6 +54,9 @@ _STATE_STACK_BYTES_CAP = 1 << 30
 _MC_BATCH_ENTRIES = 65_536
 #: drawn indices held per chunk of Monte Carlo trials (~512 KB)
 _MC_CHUNK_INDICES = 65_536
+#: ceiling on trials * 8, the bytes of the per-trial Monte Carlo values
+#: (33,554,432 trials); their mean and spread hold about three times that
+_MC_VALUES_BYTES_CAP = 1 << 28
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -321,6 +324,11 @@ def _mc_run(
     the batch or the pool size.
     """
     _check_trials_threads(trials, threads)
+    if (values_bytes := trials * 8) > _MC_VALUES_BYTES_CAP:
+        raise CapacityError(
+            f"{trials} trials need {values_bytes / 2**20:.0f} MiB of values, over the "
+            f"{_MC_VALUES_BYTES_CAP >> 20} MiB Monte Carlo ceiling"
+        )
     rows_per_trial, k = shape
     dim = states.shape[-1]
     batch = max(1, _MC_BATCH_ENTRIES // (dim * dim))

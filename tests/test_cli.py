@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,29 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+#: runs the CLI on the arguments after ``-c``, as ``python -m qpamp.cli`` does
+CLI_MAIN = "import runpy; runpy.run_module('qpamp.cli', run_name='__main__', alter_sys=True)"
+
+
+def run_python(code: str, *args) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports qpamp from this tree."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def run_bounded(argv):
+    """Run the CLI under a 1 GiB address-space limit; it must exit 3 cleanly."""
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+    out = run_python(limit + CLI_MAIN, *argv)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+    assert out.stdout == ""
 
 
 class TestInfo:
@@ -163,26 +188,25 @@ class TestSimulate:
     def test_oversized_state_stack_exits_3_in_bounded_memory(self):
         # (5,5) on a qubit source: 252 states of 1024x1024 would stack 3.94 GiB;
         # under a 1 GiB address-space limit the refusal must come first
-        import subprocess
-        import sys
+        run_bounded(["simulate", SOURCE, "--task", "pa", "--type", "5,5", "--bins", "2",
+                     "--trials", "2"])
 
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        boot = (
-            "import resource, runpy;"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
-            "runpy.run_module('qpamp.cli', run_name='__main__', alter_sys=True)"
-        )
-        argv = ["simulate", SOURCE, "--task", "pa", "--type", "5,5", "--bins", "2",
-                "--trials", "2"]
-        out = subprocess.run(
-            [sys.executable, "-c", boot, *argv], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert out.returncode == 3, out.stderr
-        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
-        assert out.stdout == ""
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1e8 orders of 2 qubit states: 11.9 GiB of grid states
+            ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1",
+             "--points", "100000000"],
+            ["wiretap", CHANNEL, "--simulate", "--rate", "0.1", "--type", "3,3",
+             "--delta", "0.06", "--points", "100000000"],
+            # 1e12 trials: 7.28 TiB of per-trial values
+            ["simulate", SOURCE, "--task", "pa", "--type", "2,2", "--bins", "2",
+             "--trials", "1000000000000"],
+        ],
+        ids=["points", "wiretap-points", "trials"],
+    )
+    def test_oversized_grid_or_trials_exit_3_in_bounded_memory(self, argv):
+        run_bounded(argv)
 
 
 class TestWiretap:
@@ -388,14 +412,34 @@ class TestColdStart:
     def test_import_does_not_load_csgraph(self):
         # the orbit labelling is numpy-only; scipy.sparse.csgraph would add
         # about 90 ms to every CLI start
-        import subprocess
-        import sys
+        out = run_python("import sys, qpamp.cli; print('scipy.sparse.csgraph' in sys.modules)")
+        assert out.stdout.strip() == "False", out.stderr
 
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        probe = "import sys, qpamp.cli; print('scipy.sparse.csgraph' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    def test_import_loads_no_scipy(self):
+        # scipy.special alone would load about 290 more modules and double
+        # the start-up time of every command
+        out = run_python(
+            "import sys, qpamp.cli;"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]", out.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", SOURCE],
+            ["augustin", SOURCE, "--alpha", "1.5"],
+            ["exponent", SOURCE, "--kind", "dupuis", "--rate", "0.1"],
+            ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1", "--finite-n",
+             "--n", "4"],
+            ["simulate", SOURCE, "--task", "equivalence", "--type", "2,2", "--bins", "3"],
+            ["wiretap", CHANNEL, "--simulate", "--rate", "0.1", "--type", "3,3",
+             "--delta", "0.06", "--trials", "20", "--seed", "1"],
+        ],
+        ids=["info", "augustin", "dupuis", "pa-direct-finite-n", "equivalence", "wiretap-sim"],
+    )
+    def test_runs_with_scipy_blocked(self, argv):
+        # a None entry makes any import of scipy raise ImportError
+        out = run_python("import sys; sys.modules['scipy'] = None;" + CLI_MAIN, *argv)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["result"] is not None

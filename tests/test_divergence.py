@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import oracles
 from conftest import diag_source, petz_up_by_symbol, rand_source
@@ -28,6 +29,48 @@ class TestScalars:
         expected = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
         assert dv.kl_divergence([0.5, 0.5], [0.75, 0.25]) == pytest.approx(expected)
         assert dv.kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
+
+
+def _logsumexp_inputs(rng):
+    """Seeded real arrays with ties, -inf entries and rows, inf and nan."""
+    for _ in range(4000):
+        rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
+        a = rng.normal(scale=float(rng.choice([1.0, 30.0, 700.0])), size=(rows, cols))
+        if rng.random() < 0.3:
+            a[rng.random(a.shape) < 0.3] = -np.inf
+        if rng.random() < 0.3:
+            a[rng.random(a.shape) < 0.4] = a.flat[0]
+        if rng.random() < 0.1:
+            a[int(rng.integers(rows))] = -np.inf
+        if rng.random() < 0.05:
+            a[rng.random(a.shape) < 0.2] = rng.choice([np.inf, np.nan])
+        yield a
+
+
+class TestLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(11)
+        for a in _logsumexp_inputs(rng):
+            for got, expected in (
+                (dv._logsumexp(a, axis=1), logsumexp(a, axis=1)),
+                (dv._logsumexp(a), logsumexp(a)),
+                (dv._logsumexp(a[0]), logsumexp(a[0])),
+                (dv._logsumexp(list(a[-1])), logsumexp(list(a[-1]))),
+            ):
+                got, expected = np.asarray(got), np.asarray(expected)
+                assert got.shape == expected.shape
+                nan = np.isnan(expected)
+                assert np.array_equal(np.isnan(got), nan), a
+                assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64)), a
+
+    def test_edge_cases(self):
+        assert dv._logsumexp([-np.inf, -np.inf]) == -np.inf
+        assert dv._logsumexp([0.0, np.inf]) == np.inf
+        assert np.isnan(dv._logsumexp([0.0, np.nan]))
+        assert dv._logsumexp([1000.0, 1000.0]) == 1000.0 + math.log(2)
+        np.testing.assert_array_equal(
+            dv._logsumexp(np.array([[0.0, -np.inf], [-np.inf, -np.inf]]), axis=1), [0.0, -np.inf]
+        )
 
 
 class TestRenyiDivergences:

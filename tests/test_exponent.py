@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import diag_source, petz_up_by_symbol, rand_instance, rand_source
-from qpamp.errors import ConvergenceError, InvalidInputError, InvalidParameterError
+from qpamp.errors import CapacityError, ConvergenceError, InvalidInputError, InvalidParameterError
 from qpamp import divergence as dv
 from qpamp import exponent, wiretap
 from qpamp.model import CQSource
@@ -375,10 +375,45 @@ class TestValidation:
             exponent.iid_exponent_via_types(trivial_source(), 0.1, None)
 
     def test_iid_type_enumeration_cap(self):
-        from qpamp.errors import CapacityError
-
         with pytest.raises(CapacityError):
             exponent.iid_exponent_via_types(trivial_source(), 0.1, 20, cap=5)
+
+    def test_grid_ceiling_refuses_every_kind(self, monkeypatch, rng):
+        # 40 orders of 2 qubit states are 40 * 2 * 4 * 16 = 5,120 bytes; one
+        # byte less refuses every exponent, the wiretap ones included, before
+        # any curve is computed
+        src = trivial_source()
+        eve = random_density(rng, 2)
+        joint = tuple(
+            DensityOperator(tensor([s, eve])) for s in orthogonal_source((0.5, 0.5)).states
+        )
+        ch = WiretapChannel(prior=np.array([0.5, 0.5]), joint_states=joint, dims=(2, 2))
+        kinds = (
+            lambda: exponent.sc_achievability_exponent(src, 0.3, points=40),
+            lambda: exponent.sc_converse_exponent(src, 0.3, points=40),
+            lambda: exponent.pa_achievability_exponent(src, 0.1, points=40),
+            lambda: exponent.pa_strong_converse_exponent(src, 0.1, points=40),
+            lambda: exponent.dupuis_exponent(src, 0.1, points=40),
+            lambda: exponent.iid_exponent_via_types(src, 0.1, 2, points=40, scan_points=40),
+            lambda: secrecy_exponent(ch, 0.01, points=40),
+            lambda: allocate_rates(ch, 0.0, 0.2, 8, points=40),
+        )
+        monkeypatch.setattr(exponent, "_GRID_BYTES_CAP", 40 * 2 * 4 * 16 - 1)
+        calls = []
+        for family in ("augustin", "petz-up", "neg-conditional"):
+            fam = exponent._FAMILIES[family]
+            monkeypatch.setitem(
+                exponent._FAMILIES, family,
+                fam._replace(curve=lambda s, a, c=fam.curve: calls.append(a) or c(s, a)),
+            )
+        for call in kinds:
+            with pytest.raises(CapacityError, match="alpha-grid ceiling"):
+                call()
+        assert calls == []
+        monkeypatch.setattr(exponent, "_GRID_BYTES_CAP", 40 * 2 * 4 * 16)
+        for call in kinds:
+            call()
+        assert calls
 
 
 # -- speculative golden-section refinement -------------------------------------

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from conftest import diag_source, rand_source
 from qpamp.errors import CapacityError, InvalidInputError
 from qpamp.model import (
+    _log_factorial,
     CQSource,
     ConstantTypeSource,
     TypeDistribution,
@@ -141,6 +143,24 @@ class TestTypeCombinatorics:
                     log_size = type_class_log_size(t)
                     assert log_size <= n * h + 1e-12
                     assert log_size >= n * h - k * math.log(n + 1) - 1e-12
+
+
+class TestLogFactorial:
+    def test_bit_identical_to_scipy_gammaln(self):
+        # the kernel replaces gammaln(k + 1); every branch of cephes lgam is
+        # crossed: the exact product below 13, the 5-term series below 1000,
+        # the 3-term series and the bare Stirling term above 1e8
+        ks = list(range(100_001)) + [
+            10**6, 12_345_678, 10**8 - 1, 10**8, 10**8 + 1, 123_456_789, 2 * 10**8,
+        ]
+        expected = gammaln(np.asarray(ks, dtype=float) + 1.0)
+        got = np.array([_log_factorial(k) for k in ks])
+        mismatch = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+        assert mismatch.size == 0, [ks[i] for i in mismatch[:5]]
+
+    def test_small_values_are_exact_logs(self):
+        for k in range(12):
+            assert _log_factorial(k) == math.log(math.factorial(k))
 
 
 class TestTypeProbability:

@@ -285,6 +285,25 @@ class TestPrivacyAmplificationDistance:
         monkeypatch.setattr(simulate, "_STATE_STACK_BYTES_CAP", 6 * 16 * 16 * 16)
         assert d_sc_exact(src, 2) >= 0.0
 
+    def test_trials_ceiling_refuses_before_allocating(self, rng, monkeypatch):
+        # 3 trials hold 24 bytes of values; one byte less refuses both
+        # Monte Carlo estimates before a trial is drawn
+        src = rand_instance(rng, alphabet_size=2, dim=2)
+        size = src.type.class_size()
+        bins = next(b for b in (2, 3, 5) if size % b == 0)
+        drawn = []
+        monkeypatch.setattr(simulate, "substream", lambda *a: drawn.append(a) or substream(*a))
+        monkeypatch.setattr(simulate, "_MC_VALUES_BYTES_CAP", 3 * 8 - 1)
+        for call in (
+            lambda: d_pa_monte_carlo(src, bins, trials=3, rng_seed=0),
+            lambda: d_sc_monte_carlo(src, 2, trials=3, rng_seed=0),
+        ):
+            with pytest.raises(CapacityError, match="Monte Carlo ceiling"):
+                call()
+        assert drawn == []
+        monkeypatch.setattr(simulate, "_MC_VALUES_BYTES_CAP", 3 * 8)
+        assert d_pa_monte_carlo(src, bins, trials=3, rng_seed=0).trials == 3
+
     def test_refuses_exactly_over_the_binning_cap(self, rng):
         # the gate counts binnings, not the up to num_bins times more subsets
         src = rand_instance(rng, alphabet_size=2, dim=2)

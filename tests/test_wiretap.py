@@ -237,6 +237,16 @@ class TestSimulateLeakage:
         assert rep.direct is not None
         assert rep.direct <= rep.bound_sum + 1e-10
 
+    def test_trials_ceiling_spares_the_exact_route(self, rng, monkeypatch):
+        # the Monte Carlo ceiling is checked where trials run, so trials an
+        # enumerable instance never runs are not refused
+        monkeypatch.setattr(simulate, "_MC_VALUES_BYTES_CAP", 8)
+        ch = useless_eve_channel(rng)
+        t = TypeDistribution(n=4, counts=(2, 2))
+        alloc = RateAllocation(R=math.log(3) / 4, R1=0.0, R2=math.log(2) / 4)
+        rep = simulate_leakage(ch, t, alloc, trials=10**12, rng_seed=0)
+        assert rep.exact and rep.direct is not None
+
     @pytest.mark.parametrize("m, ell", [(3, 1), (2, 2), (3, 2), (2, 3)])
     def test_direct_leakage_matches_partition_walk(self, rng, m, ell):
         # the criterion-10 triangle instance is (m, ell) = (3, 1); the
