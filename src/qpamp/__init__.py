@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``qmat``       dense Hermitian operator algebra
+- ``qmat``       dense Hermitian and density operators
 - ``model``      c-q sources, n-types, type classes
 - ``divergence`` entropies, Renyi divergences, Augustin information
 - ``simulate``   exact and Monte Carlo PA / SC distances over a type class

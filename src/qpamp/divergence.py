@@ -232,7 +232,8 @@ def _sweep_fixed_point(
     the raw tilted states with weights p(x)^alpha and normalizes once.  Each
     alpha slice evolves independently and is frozen as soon as its update step
     (operator norm of the change) drops below tol, so the sweep reproduces the
-    single-alpha iteration exactly.
+    single-alpha iteration exactly.  A non-finite step (an iterate whose
+    sigma^c underflowed or overflowed) freezes its slice unconverged.
 
     Returns (values, sigmas, iterations, final_steps, converged).
     """
@@ -298,10 +299,10 @@ def _sweep_fixed_point(
         sigma[idx] = new
         iterations[idx] = it
         steps[idx] = step
-        active[idx] = step >= tol
+        active[idx] = np.isfinite(step) & (step >= tol)
 
     values = _objective_at(states, prior, alphas, sigma, conditional=conditional)
-    return values, sigma, iterations, steps, ~active
+    return values, sigma, iterations, steps, steps < tol
 
 
 def _objective_at(
@@ -369,17 +370,18 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter):
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise InvalidParameterError(f"max_iter must be an integer >= 1, got {max_iter}")
     states, prior = _positive_part(src)
-    values, sigmas, iters, steps, ok = _sweep_fixed_point(
-        states, prior, alphas, conditional=conditional, tol=tol, max_iter=max_iter
-    )
+    # an underflowed iterate divides 0 by 0; its nan step fails the order below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values, sigmas, iters, steps, ok = _sweep_fixed_point(
+            states, prior, alphas, conditional=conditional, tol=tol, max_iter=max_iter
+        )
     if ok.all():
         return values, sigmas, iters, steps
     if single:
-        best = _result(values, sigmas, iters, steps)
         raise ConvergenceError(
-            f"{what} iteration did not reach tol={tol} in {max_iter} steps "
-            f"(last step {best.final_step:.3e})",
-            best=best,
+            f"{what} iteration at alpha {alphas[0]:.6g} did not reach tol={tol} in "
+            f"{iters[0]} steps (last step {steps[0]:.3e})",
+            best=_result(values, sigmas, iters, steps) if np.isfinite(sigmas).all() else None,
         )
     failed = alphas[~ok]
     raise ConvergenceError(

@@ -12,7 +12,7 @@ class InvalidInputError(ValueError):
 
 
 class InvalidParameterError(ValueError):
-    """A parameter outside its documented range (e.g. Schatten p < 1)."""
+    """A parameter outside its documented range (e.g. alpha outside (0, 2])."""
 
 
 class CapacityError(RuntimeError):

@@ -9,14 +9,15 @@ with Q one of three rate-independent curves of a source, the rows of
 the Petz Augustin-like quantity at order 2 - 1/alpha on (1/2, 1)
 (``petz-up``), and -H*_alpha(X|B) on (1, 2) (``neg-conditional``).  Each
 kind supplies its row, the shift c (the rate and an entropy-like term) and
-the offset.  ``_sup_over_alpha`` evaluates the objective on a fixed grid
-pulled slightly inside the interval (the endpoints are singular in the
-prefactors) with one batched curve call, then refines the best bracket by
-golden-section search on the same curve function.  The refinement evaluates, in one batched call, every
-point the next LOOKAHEAD golden steps may need, so it takes the same steps
-and returns the same floats as a search with one solve per step.  Exponents
-are reported in nats per symbol; negative values mean the bound is vacuous
-and are reported as-is.
+the offset, plus its report's prefactor and meta.  ``_sup_over_alpha``, the
+one evaluator, grids the objective slightly inside the interval (the
+endpoints are singular in the prefactors) with one batched curve call,
+refines the best bracket by golden-section search on the same curve
+function and returns the ``ExponentReport``.  Each refinement call
+evaluates every point the next LOOKAHEAD golden steps may need, so it takes
+the same steps and returns the same floats as a search with one solve per
+step.  Exponents are in nats per symbol; negative values mean the bound is
+vacuous and are reported as-is.
 
 The grid curve does not depend on the rate, so it is memoised: kinds and
 rates that share a source share one sweep.  The memo is keyed by a digest of
@@ -226,17 +227,20 @@ def _sup_over_alpha(
     family: str,
     shift: tuple[float, ...],
     *,
+    prefactor_log: float,
+    meta: dict,
     offset: float = -0.0,
     points: int = GRID_POINTS,
-) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """offset + sup over the family's interval of ((1-a)/a)(Q(a) - c).
+) -> ExponentReport:
+    """The report of offset + sup over the family's interval of ((1-a)/a)(Q(a) - c).
 
     The terms of ``shift`` are subtracted from Q one at a time, in the order
     each formula states them, so every objective rounds exactly as its closed
     form does.  The default offset is -0.0, the exact additive identity, so
     an objective without one keeps the sign of a zero.  Grids
-    [lo+margin, hi-margin], then refines the best bracket.  Returns
-    (alpha_star, value, curve).
+    [lo+margin, hi-margin], then refines the best bracket.  Returns the
+    ExponentReport of the supremum, its alpha, the grid curve and the given
+    ``prefactor_log`` and ``meta``.
     """
     if points < 2:
         raise InvalidParameterError(f"points must be >= 2, got {points}")
@@ -264,7 +268,7 @@ def _sup_over_alpha(
     if rv > best_v:
         best_a, best_v = float(ra), float(rv)
     curve = tuple((float(a), float(v)) for a, v in zip(alphas, vals))
-    return best_a, best_v, curve
+    return ExponentReport(best_v, best_a, curve, prefactor_log, meta)
 
 
 def _entropy_term(src: CQSource, n: int | None, finite_n: bool) -> tuple[float, str]:
@@ -297,19 +301,14 @@ def sc_achievability_exponent(
     """
     _check_rate(rate)
     _check_n(n)
-    a, v, curve = _sup_over_alpha(src, "augustin", (rate,), points=points)
-    mutual = dv.holevo_mutual_info(src)
-    return ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
-        prefactor_log=0.0,
+    return _sup_over_alpha(
+        src, "augustin", (rate,), points=points, prefactor_log=0.0,
         meta={
             "kind": "sc-direct",
             "rate": float(rate),
             "convention": "sup_{a in (1,2)} ((1-a)/a)(I_aug_sandwiched(a) - R); "
             "bound d_SC <= exp(-n * exponent)",
-            "mutual_info": mutual,
+            "mutual_info": dv.holevo_mutual_info(src),
             "positive_iff": "rate > mutual_info",
         },
     )
@@ -329,11 +328,8 @@ def sc_converse_exponent(
     """
     _check_rate(rate)
     _check_n(n)
-    a, v, curve = _sup_over_alpha(src, "petz-up", (rate,), points=points)
-    return ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
+    return _sup_over_alpha(
+        src, "petz-up", (rate,), points=points,
         prefactor_log=_converse_prefactor_log(src.alphabet_size, n),
         meta={
             "kind": "sc-converse",
@@ -369,26 +365,21 @@ def pa_achievability_exponent(
     _check_rate(rate)
     _check_n(n)
     entropy, label = _entropy_term(src, n, finite_n)
-    a, v, curve = _sup_over_alpha(src, "augustin", (entropy, -rate), points=points)
     if finite_n:
         prefactor = 0.0
     elif n is not None:
         prefactor = 0.5 * src.alphabet_size * math.log(n + 1.0)
     else:
         prefactor = math.nan
-    mutual = dv.holevo_mutual_info(src)
-    return ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
-        prefactor_log=prefactor,
+    return _sup_over_alpha(
+        src, "augustin", (entropy, -rate), points=points, prefactor_log=prefactor,
         meta={
             "kind": "pa-direct",
             "rate": float(rate),
             "entropy_term": label,
             "convention": "sup_{a in (1,2)} ((a-1)/a)(S - I_aug_sandwiched(a) - R); "
             "bound d_PA <= exp(prefactor_log - n * exponent)",
-            "extraction_limit": dv.shannon_entropy(src.prior) - mutual,
+            "extraction_limit": conditional_entropy_limit(src),
             "positive_iff": "rate < H(p) - inf_a I_aug_sandwiched(a)",
         },
     )
@@ -410,11 +401,8 @@ def pa_strong_converse_exponent(
     _check_rate(rate)
     _check_n(n)
     entropy, label = _entropy_term(src, n, finite_n)
-    a, v, curve = _sup_over_alpha(src, "petz-up", (entropy, -rate), points=points)
-    return ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
+    return _sup_over_alpha(
+        src, "petz-up", (entropy, -rate), points=points,
         prefactor_log=_converse_prefactor_log(src.alphabet_size, n),
         meta={
             "kind": "pa-converse",
@@ -456,12 +444,8 @@ def dupuis_exponent(
     sup over alpha in (1,2) of ((alpha-1)/alpha)(H*_alpha(X|B) - R).
     """
     _check_rate(rate)
-    a, v, curve = _sup_over_alpha(src, "neg-conditional", (-rate,), points=points)
-    return ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
-        prefactor_log=0.0,
+    return _sup_over_alpha(
+        src, "neg-conditional", (-rate,), points=points, prefactor_log=0.0,
         meta={
             "kind": "dupuis",
             "rate": float(rate),
@@ -493,6 +477,7 @@ def iid_exponent_via_types(
         raise InvalidParameterError("the i.i.d. exponent requires a blocklength n")
     _check_n(n)
     types = enumerate_n_types(src.alphabet_size, n, cap=cap)
+    prefactor = 1.5 * src.alphabet_size * math.log(n + 1.0)
 
     best_val = math.inf
     best: tuple[TypeDistribution, CQSource, tuple[float, float], float] | None = None
@@ -503,7 +488,10 @@ def iid_exponent_via_types(
             continue
         src_q = CQSource(prior=q, states=src.states)
         shift = (dv.shannon_entropy(q), -rate)
-        _, v, _ = _sup_over_alpha(src_q, "augustin", shift, offset=dq, points=scan_points)
+        v = _sup_over_alpha(
+            src_q, "augustin", shift, prefactor_log=prefactor, meta={}, offset=dq,
+            points=scan_points,
+        ).exponent
         if v < best_val:
             best_val = v
             best = (t, src_q, shift, dq)
@@ -511,12 +499,8 @@ def iid_exponent_via_types(
         raise InvalidInputError("no n-type lies inside the support of the prior")
 
     best_type, src_q, shift, dq = best
-    a, v, curve = _sup_over_alpha(src_q, "augustin", shift, offset=dq, points=points)
-    return ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
-        prefactor_log=1.5 * src.alphabet_size * math.log(n + 1.0),
+    return _sup_over_alpha(
+        src_q, "augustin", shift, offset=dq, points=points, prefactor_log=prefactor,
         meta={
             "kind": "iid",
             "rate": float(rate),

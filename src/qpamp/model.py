@@ -97,10 +97,15 @@ class TypeDistribution:
         return np.asarray(self.counts, dtype=float) / self.n
 
     def class_size(self) -> int:
-        """Exact |T^n_q| as an integer multinomial coefficient."""
-        size = math.factorial(self.n)
+        """Exact |T^n_q| as an integer multinomial coefficient.
+
+        A product of binomials, each at most the result, so a small class of
+        a long sequence never builds n!.
+        """
+        size, placed = 1, 0
         for c in self.counts:
-            size //= math.factorial(c)
+            placed += c
+            size *= math.comb(placed, c)
         return size
 
 
@@ -136,20 +141,6 @@ def marginal_state(src: CQSource) -> DensityOperator:
     """Prior-weighted average of the symbol states."""
     arr = np.einsum("x,xij->ij", src.prior, src.state_stack())
     return DensityOperator(HermitianOperator(arr))
-
-
-def sequence_state(src: CQSource, x_seq: Sequence[int]) -> DensityOperator:
-    """Tensor product of per-symbol states along the sequence."""
-    seq = [int(x) for x in x_seq]
-    if not seq:
-        raise InvalidInputError("sequence must be nonempty")
-    if min(seq) < 0 or max(seq) >= src.alphabet_size:
-        raise InvalidInputError(f"sequence symbols out of range for |X|={src.alphabet_size}")
-    if src.dim_b ** len(seq) > qmat.DIMENSION_CAP:
-        raise CapacityError(
-            f"sequence state dimension {src.dim_b}^{len(seq)} exceeds cap {qmat.DIMENSION_CAP}"
-        )
-    return DensityOperator(qmat.tensor([src.states[x] for x in seq]))
 
 
 def _log_factorial(k: int) -> float:

@@ -1,10 +1,10 @@
-"""Dense complex Hermitian operator algebra for small quantum systems.
+"""Dense complex Hermitian and density operators for small quantum systems.
 
-All fractional and negative matrix powers act on the support only: eigenvalues
-below a relative cutoff are treated as exact zeros, so expressions like
-``sigma ** (-1/2)`` mean the pseudo-inverse square root.  Everything is stored
-dense; the toolkit targets subsystem dimensions of a few and total dimensions
-up to a few thousand.
+Everything is stored dense; the toolkit targets subsystem dimensions of a few
+and total dimensions up to a few thousand.  ``SUPPORT_CUTOFF`` defines the
+support on which the divergences take fractional and negative powers:
+eigenvalues below it, relative to the largest, count as exact zeros, so
+``sigma ** (-1/2)`` means the pseudo-inverse square root.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError
 
 #: eigenvalues within this distance below zero are clamped to zero
 EIGENVALUE_FLOOR = -1e-10
@@ -55,9 +55,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
 
 
 @dataclass(frozen=True)
@@ -111,60 +108,9 @@ def _entries(op) -> np.ndarray:
     return _as_square_complex(op)
 
 
-def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching unitary of eigenvectors."""
-    w, v = np.linalg.eigh(_entries(op))
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
-
-
-def support_power(arr: np.ndarray, t: float, *, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """``arr ** t`` on the support of a PSD ndarray; support eigenvalues only.
-
-    Eigenvalues below ``cutoff * max_eigenvalue`` map to 0 for any ``t``,
-    which realizes the support-restricted negative powers used throughout.
-    """
-    w, v = np.linalg.eigh(arr)
-    top = float(w[-1])
-    if top <= 0.0:
-        return np.zeros_like(arr)
-    mask = w > top * cutoff
-    vals = np.zeros_like(w)
-    vals[mask] = w[mask] ** t
-    return _sym((v * vals) @ v.conj().T)
-
-
-def matrix_power(op, t: float) -> HermitianOperator:
-    """Fractional (possibly negative) power of a PSD operator on its support."""
-    arr = _entries(op)
-    wmin = float(np.linalg.eigvalsh(arr)[0])
-    if wmin < EIGENVALUE_FLOOR:
-        raise InvalidInputError(
-            f"matrix_power requires a PSD operator (min eigenvalue {wmin:.3e})"
-        )
-    return HermitianOperator(support_power(arr, float(t)))
-
-
-def schatten_norm(op, p: float) -> float:
-    """Schatten p-norm (sum of |eigenvalue|^p) ** (1/p), p >= 1."""
-    if p < 1.0:
-        raise InvalidParameterError(f"Schatten norm requires p >= 1, got {p}")
-    w = np.abs(np.linalg.eigvalsh(_entries(op)))
-    if np.isinf(p):
-        return float(w.max())
-    return float(np.sum(w**p) ** (1.0 / p))
-
-
 def trace_norm(arr: np.ndarray) -> float:
     """Trace norm of a Hermitian ndarray: sum of absolute eigenvalues."""
     return float(np.abs(np.linalg.eigvalsh(arr)).sum())
-
-
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference of two states."""
-    a, b = _entries(rho), _entries(sigma)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * trace_norm(a - b)
 
 
 def tensor(ops: Sequence) -> HermitianOperator:

@@ -10,7 +10,9 @@ subset's distance is constant on its S_n-orbit: ``d_sc_exact`` (hence
 ``d_pa_exact``) and the direct wiretap leakage diagonalise one representative
 per orbit, weighted by the orbit size.  ``verify_equivalence`` stays the plain
 certificate: it streams every subset and walks every binning.  The caps are
-checked on the full subset count before any orbit is labelled.
+checked on the full subset count before any orbit is labelled; a count stops
+being multiplied once it passes its cap, and a class whose states could
+never be stacked is refused before |T| is counted.
 
 Monte Carlo trials draw a seeded regular binning or codebook without
 repetition each, that is a set of k-subsets of the type class.  On small
@@ -37,11 +39,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidParameterError
-from .model import ConstantTypeSource, enumerate_type_class
+from .model import ConstantTypeSource, enumerate_type_class, type_class_log_size
 from .qmat import DIMENSION_CAP
 
 #: cap on the number of partitions / subsets an exact expectation may visit
 EXACT_ENUMERATION_CAP = 250_000
+#: a refused count up to this is printed in full, a larger one as "more than" the cap
+_SHOWN_COUNT = 10**18
 _MASK64 = (1 << 64) - 1
 #: complex entries per eigvalsh batch (~32 MB)
 _BATCH_ENTRIES = 2_097_152
@@ -122,6 +126,23 @@ def _sequence_state_stack(src: ConstantTypeSource, domain) -> np.ndarray:
     return out
 
 
+def _class_size(src: ConstantTypeSource) -> int:
+    """|T|, refused before it is counted when its states could never be stacked.
+
+    Every route stacks the |T| sequence states of D = d_B^n; the log of their
+    bytes is compared with the state-stack ceiling, one nat to spare for
+    rounding, so nothing that ceiling passes is refused here.
+    """
+    t = src.type
+    log_bytes = type_class_log_size(t) + 2 * t.n * math.log(src.base.dim_b) + math.log(16)
+    if log_bytes > math.log(_STATE_STACK_BYTES_CAP) + 1.0:
+        raise CapacityError(
+            f"the type-class states need about 2^{log_bytes / math.log(2):.4g} bytes, "
+            f"over the {_STATE_STACK_BYTES_CAP >> 30} GiB state-stack ceiling"
+        )
+    return t.class_size()
+
+
 def _prepare(src: ConstantTypeSource, cap: int):
     domain = tuple(enumerate_type_class(src.type, cap=cap))
     states = _sequence_state_stack(src, domain)
@@ -135,19 +156,46 @@ def _bin_size(size: int, num_bins: int, cap: int | None = None) -> int:
         raise InvalidParameterError(
             f"num_bins={num_bins} does not divide |T| = {size} exactly"
         )
-    if cap is not None and (n_partitions := _partition_count(size, num_bins)) > cap:
-        raise CapacityError(
-            f"{n_partitions} regular binnings exceed the enumeration cap {cap}"
-        )
+    if cap is not None:
+        _counted_within(cap, "regular binnings", _partition_count, size, num_bins)
     return size // num_bins
 
 
-def _partition_count(size: int, num_bins: int) -> int:
-    k = size // num_bins
-    total = math.factorial(size)
-    for _ in range(num_bins):
-        total //= math.factorial(k)
-    return total // math.factorial(num_bins)
+def _capped_comb(n: int, k: int, limit: float) -> int | None:
+    """C(n, k), or None as soon as it passes `limit`.
+
+    The running products C(n-k+t, t), t = 1..min(k, n-k), at least double at
+    every step, so a count too large to build costs a few dozen steps.
+    """
+    k, c = min(k, n - k), 1
+    for t in range(1, k + 1):
+        c = c * (n - k + t) // t
+        if c > limit:
+            return None
+    return c if c <= limit else None
+
+
+def _partition_count(size: int, num_bins: int, limit: float = math.inf) -> int | None:
+    """Regular binnings of `size` elements into `num_bins` bins, or None past `limit`.
+
+    The product over blocks of the C(m-1, k-1) ways to fill the block holding
+    the smallest of the m elements left; for k > 1 every factor is at least 3.
+    """
+    k, total = size // num_bins, 1
+    for m in range(size, k, -k) if k > 1 else ():
+        c = _capped_comb(m - 1, k - 1, limit)
+        if c is None or (total := total * c) > limit:
+            return None
+    return total if total <= limit else None
+
+
+def _counted_within(cap: int, what: str, count: Callable[..., int | None], *args) -> int:
+    """``count(*args, limit)``, refused with CapacityError when above `cap`."""
+    total = count(*args, max(cap, _SHOWN_COUNT))
+    if total is None or total > cap:
+        shown = f"more than {cap}" if total is None else total
+        raise CapacityError(f"{shown} {what} exceed the enumeration cap {cap}")
+    return total
 
 
 def _equal_partitions(elems: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -265,12 +313,10 @@ def d_sc_exact(
     repetition): the distance of one representative per S_n-orbit, weighted
     by the orbit size.  The cap and the byte ceiling count every M-subset.
     """
-    size = src.type.class_size()
+    size = _class_size(src)
     if not 1 <= M <= size:
         raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
-    n_subsets = math.comb(size, M)
-    if n_subsets > cap:
-        raise CapacityError(f"{n_subsets} codebooks exceed the enumeration cap {cap}")
+    n_subsets = _counted_within(cap, "codebooks", _capped_comb, size, M)
     _check_stream_bytes(src, M)
     domain, states, marginal = _prepare(src, cap=max(cap, size))
     reps, sizes = _subset_orbits(domain, M)
@@ -288,7 +334,7 @@ def d_pa_exact(
     this is d_sc_exact at codebook size |T|/num_bins; no binning is walked.
     The cap counts regular binnings; the subset byte ceiling applies too.
     """
-    size = src.type.class_size()
+    size = _class_size(src)
     k = _bin_size(size, num_bins, cap)
     # the binning count is the gate; the k-subsets may be up to num_bins times more
     return d_sc_exact(src, k, cap=max(cap, math.comb(size, k)))
@@ -365,7 +411,7 @@ def d_sc_monte_carlo(
     threads: int = 1,
 ) -> SimEstimate:
     """Monte Carlo estimate of d_sc_exact; unbiased, deterministic given seed."""
-    size = src.type.class_size()
+    size = _class_size(src)
     if not 1 <= M <= size:
         raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
     _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
@@ -384,7 +430,7 @@ def d_pa_monte_carlo(
     threads: int = 1,
 ) -> SimEstimate:
     """Monte Carlo estimate of d_pa_exact over sampled regular binnings."""
-    size = src.type.class_size()
+    size = _class_size(src)
     k = _bin_size(size, num_bins)
     _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
     return _mc_run(
@@ -402,7 +448,7 @@ def verify_equivalence(
     is d_sc_exact at codebook size |T|/num_bins; one subset pass feeds both.
     The two are provably equal, so any gap is floating-point error.
     """
-    size = src.type.class_size()
+    size = _class_size(src)
     k = _bin_size(size, num_bins, cap)
     _check_stream_bytes(src, k)
     _, states, marginal = _prepare(src, cap=max(cap, size))

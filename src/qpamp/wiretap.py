@@ -152,12 +152,8 @@ def secrecy_exponent(
     _check_rate(rate)
     eve = eve_source(ch)
     mutual_b = dv.holevo_mutual_info(bob_source(ch))
-    a, v, curve = _sup_over_alpha(eve, "augustin", (mutual_b, -rate), points=points)
-    return ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
-        prefactor_log=0.0,
+    return _sup_over_alpha(
+        eve, "augustin", (mutual_b, -rate), points=points, prefactor_log=0.0,
         meta={
             "kind": "wiretap-secrecy",
             "rate": float(rate),
@@ -209,11 +205,8 @@ def allocate_rates(
             f"blocklength n={n} too small: computed key rate R2={r2:.6f} < 0"
         )
     rates = RateAllocation(R=float(rate), R1=float(r1), R2=float(r2))
-    a, v, curve = _sup_over_alpha(bob, "petz-up", (rate, r1), points=points)
-    bob_exp = ExponentReport(
-        exponent=v,
-        alpha_star=a,
-        curve=curve,
+    bob_exp = _sup_over_alpha(
+        bob, "petz-up", (rate, r1), points=points,
         prefactor_log=math.log(6.0) + ch.alphabet_size * math.log(n + 1.0),
         meta={
             "kind": "wiretap-decoding",
@@ -225,8 +218,8 @@ def allocate_rates(
 
 
 def _nearest_divisor(size: int, target: float) -> int:
-    divisors = [d for d in range(1, size + 1) if size % d == 0]
-    return min(divisors, key=lambda d: (abs(d - target), d))
+    small = [d for d in range(1, math.isqrt(size) + 1) if size % d == 0]
+    return min(small + [size // d for d in small], key=lambda d: (abs(d - target), d))
 
 
 #: cap on (subset, partition) pairs for the direct leakage enumeration
@@ -256,7 +249,9 @@ def simulate_leakage(
     if t.alphabet_size != ch.alphabet_size:
         raise InvalidInputError("type alphabet does not match the channel")
     simulate._check_trials_threads(trials, threads)
-    size = t.class_size()
+    eve = ConstantTypeSource.from_states(eve_source(ch).states, t)
+    # refuses a class too large to stack before the divisor search walks it
+    size = simulate._class_size(eve)
     n = t.n
     target_joint = math.exp(n * (alloc.R + alloc.R2))
     bins_joint = _nearest_divisor(size, target_joint)
@@ -268,8 +263,6 @@ def simulate_leakage(
         R1=math.log(ell) / n,
         R2=math.log(bins_key) / n,
     )
-
-    eve = ConstantTypeSource.from_states(eve_source(ch).states, t)
 
     def pa_term(num_bins: int):
         try:
@@ -318,7 +311,7 @@ def _direct_leakage_exact(eve: ConstantTypeSource, m: int, ell: int) -> float | 
     size = eve.type.class_size()
     slice_size = m * ell
     n_slices = math.comb(size, slice_size)
-    if n_slices * simulate._partition_count(slice_size, m) > _DIRECT_CAP:
+    if simulate._partition_count(slice_size, m, _DIRECT_CAP // n_slices) is None:
         return None
     domain, states, _ = simulate._prepare(eve, cap=size)
     total = 0.0

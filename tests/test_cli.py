@@ -31,13 +31,13 @@ def run_json(capsys, argv):
 CLI_MAIN = "import runpy; runpy.run_module('qpamp.cli', run_name='__main__', alter_sys=True)"
 
 
-def run_python(code: str, *args) -> subprocess.CompletedProcess:
+def run_python(code: str, *args, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports qpamp from this tree."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -207,6 +207,48 @@ class TestSimulate:
     )
     def test_oversized_grid_or_trials_exit_3_in_bounded_memory(self, argv):
         run_bounded(argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # counts of thousands of digits, or too costly to build, on the qubit
+            # source: the type-class states are refused before anything is counted
+            (["simulate", SOURCE, "--task", "pa", "--exact", "--type", "9,9", "--bins", "2"], 3),
+            (["simulate", SOURCE, "--task", "sc", "--exact", "--type", "9,9", "--M", "24310"], 3),
+            (["simulate", SOURCE, "--task", "equivalence", "--type", "8,8", "--bins", "2"], 3),
+            (["simulate", SOURCE, "--task", "pa", "--exact", "--type", "15,15", "--bins", "2"], 3),
+            (["simulate", SOURCE, "--task", "equivalence", "--type", "15,15", "--bins", "2"], 3),
+            (["simulate", SOURCE, "--task", "sc", "--exact", "--type", "12,12",
+              "--M", "1352078"], 3),
+            (["simulate", SOURCE, "--task", "sc", "--exact", "--type", "500000,500000",
+              "--M", "1352078"], 3),
+            (["wiretap", CHANNEL, "--simulate", "--rate", "0.1", "--type", "9,9",
+              "--delta", "0.06", "--trials", "2"], 3),
+            # |T| ~ 1.18e17: refused before the divisor search walks it
+            (["wiretap", CHANNEL, "--simulate", "--rate", "0.1", "--type", "30,30",
+              "--delta", "0.06", "--trials", "2"], 3),
+            # a one-dimensional source stacks these classes, so the binning and
+            # codebook counts themselves are refused
+            (["simulate", "{flat}", "--task", "pa", "--exact", "--type", "9,9", "--bins", "2"], 3),
+            (["simulate", "{flat}", "--task", "sc", "--exact", "--type", "12,12",
+              "--M", "1352078"], 3),
+            (["simulate", "{flat}", "--task", "equivalence", "--type", "15,15",
+              "--bins", "2"], 3),
+            # sigma^c underflows at c ~ 5000: a non-finite step, not a converged one
+            (["augustin", SOURCE, "--alpha", "1e-4"], 2),
+        ],
+        ids=["pa-9", "sc-9", "eq-8", "pa-15", "eq-15", "sc-12", "sc-500000", "wiretap-9",
+             "wiretap-30", "flat-pa-9", "flat-sc-12", "flat-eq-15", "alpha-1e-4"],
+    )
+    def test_out_of_reach_input_exits_with_one_short_error(self, tmp_path, argv, code):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"prior": [0.5, 0.5], "states": [[[[1, 0]]]] * 2}))
+        argv = [a.replace("{flat}", str(flat)) for a in argv]
+        out = run_python(CLI_MAIN, *argv, timeout=30)
+        assert out.returncode == code, out.stderr
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
+        assert len(out.stderr) < 200 and "Traceback" not in out.stderr
 
 
 class TestWiretap:

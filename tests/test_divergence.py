@@ -230,6 +230,15 @@ class TestAugustinSandwiched:
         assert ours <= best + 1e-6
         assert abs(ours - best) <= 0.01  # grid is coarse but should land nearby
 
+    def test_non_finite_step_is_not_converged(self):
+        # at alpha = 1e-4, sigma^c with c ~ 5000 underflows to 0 and the step is nan
+        src = diag_source([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ConvergenceError, match="alpha 0.0001"):
+            dv.augustin_sandwiched_curve(src, [1e-4])
+        with pytest.raises(ConvergenceError, match="alpha 0.0001") as err:
+            dv.augustin_sandwiched(src, 1e-4)
+        assert err.value.best is None  # no state to report
+
     def test_convergence_error_carries_best(self, rng):
         src = rand_source(rng, 2, 2)
         with pytest.raises(ConvergenceError) as err:

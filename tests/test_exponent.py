@@ -452,8 +452,8 @@ def sequential_golden(fn, lo, hi, visited=None):
     return mid, f(mid)
 
 
-def sequential_sup(src, family, shift, *, offset=-0.0, points=exponent.GRID_POINTS,
-                   visited=None):
+def sequential_sup(src, family, shift, *, prefactor_log=0.0, meta=None, offset=-0.0,
+                   points=exponent.GRID_POINTS, visited=None):
     """The sup over alpha with its refinement on single-point solves."""
     fam = exponent._FAMILIES[family]
 
@@ -474,7 +474,8 @@ def sequential_sup(src, family, shift, *, offset=-0.0, points=exponent.GRID_POIN
     )
     if rv > best_v:
         best_a, best_v = ra, rv
-    return best_a, best_v, tuple((float(a), float(v)) for a, v in zip(alphas, vals))
+    curve = tuple((float(a), float(v)) for a, v in zip(alphas, vals))
+    return exponent.ExponentReport(best_v, best_a, curve, prefactor_log, meta)
 
 
 def _random_channel(rng) -> WiretapChannel:
@@ -519,6 +520,7 @@ class TestSpeculativeRefinement:
             assert (got.exponent, got.alpha_star, got.curve) == (
                 ref.exponent, ref.alpha_star, ref.curve
             ), k
+            assert (got.prefactor_log, got.meta) == (ref.prefactor_log, ref.meta), k
 
     def test_batch_count(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2, mix=0.1)

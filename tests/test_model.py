@@ -14,7 +14,6 @@ from qpamp.model import (
     enumerate_n_types,
     enumerate_type_class,
     marginal_state,
-    sequence_state,
     source_from_json,
     source_to_json,
     type_class_log_size,
@@ -66,27 +65,6 @@ class TestMarginalAndSequence:
         src = diag_source([0.5, 0.5], [[1, 0], [0, 1]])
         np.testing.assert_allclose(marginal_state(src).entries, np.diag([0.5, 0.5]))
 
-    def test_sequence_state_repeated(self, rng):
-        rho = random_density(rng, 2)
-        src = CQSource(prior=np.array([1.0]), states=(rho,))
-        out = sequence_state(src, [0, 0])
-        np.testing.assert_allclose(out.entries, np.kron(rho.entries, rho.entries), atol=1e-14)
-
-    def test_sequence_state_mixed(self):
-        src = diag_source([0.5, 0.5], [[1, 0], [0, 1]])
-        out = sequence_state(src, [0, 1])
-        np.testing.assert_allclose(out.entries, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_sequence_dimension_cap(self, rng):
-        src = CQSource(prior=np.array([1.0]), states=(random_density(rng, 3),))
-        with pytest.raises(CapacityError):
-            sequence_state(src, [0] * 9)  # 3^9 > 4096
-
-    def test_sequence_symbol_range(self, rng):
-        src = CQSource(prior=np.array([1.0]), states=(random_density(rng, 2),))
-        with pytest.raises(InvalidInputError):
-            sequence_state(src, [0, 1])
-
 
 class TestTypeCombinatorics:
     @pytest.mark.parametrize(
@@ -117,6 +95,15 @@ class TestTypeCombinatorics:
             assert len(seqs) == pytest.approx(math.exp(type_class_log_size(t)))
             assert len(set(seqs)) == len(seqs)
             assert seqs == sorted(seqs)
+
+    def test_class_size_is_the_multinomial(self):
+        for counts in [(1,), (2, 1), (3, 3), (0, 5), (4, 2, 1), (1, 0, 0, 7), (9, 9), (5, 5, 5, 5)]:
+            expected = math.factorial(sum(counts))
+            for c in counts:
+                expected //= math.factorial(c)
+            assert TypeDistribution(n=sum(counts), counts=counts).class_size() == expected
+        # a small class of a long sequence is counted without n!
+        assert TypeDistribution(n=10**7, counts=(10**7 - 2, 2)).class_size() == 49999995000000
 
     def test_enumeration_cap(self):
         with pytest.raises(CapacityError):

@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
-from qpamp.errors import InvalidInputError, InvalidParameterError
-from qpamp import qmat
+from qpamp.errors import InvalidInputError
 from qpamp.qmat import (
     DensityOperator,
     HermitianOperator,
-    eig_hermitian,
     matrix_from_json,
-    matrix_power,
     matrix_to_json,
     random_density,
-    schatten_norm,
     tensor,
-    trace_distance,
 )
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def herm(arr) -> HermitianOperator:
@@ -58,107 +51,6 @@ class TestConstruction:
         op = herm(np.eye(2))
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
-
-
-class TestEig:
-    def test_identity(self):
-        w, v = eig_hermitian(herm(np.eye(2)))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-        np.testing.assert_allclose(v @ v.conj().T, np.eye(2), atol=1e-14)
-
-    def test_diagonal(self):
-        w, _ = eig_hermitian(herm(np.diag([0.75, 0.25])))
-        np.testing.assert_allclose(w, [0.75, 0.25])
-
-    def test_pauli_x(self):
-        # characteristic polynomial by hand: eigenvalues +-1, vectors (1, +-1)/sqrt 2
-        w, v = eig_hermitian(herm(PAULI_X))
-        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-14)
-
-    def test_reconstruction(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            op = HermitianOperator(a)
-            w, v = eig_hermitian(op)
-            assert np.all(np.diff(w) <= 1e-14)
-            recon = (v * w) @ v.conj().T
-            assert np.linalg.norm(recon - op.entries) <= 1e-10 * op.dim
-
-
-class TestMatrixPower:
-    def test_identity_sqrt(self):
-        out = matrix_power(herm(np.eye(3)), 0.5)
-        np.testing.assert_allclose(out.entries, np.eye(3), atol=1e-14)
-
-    def test_support_inverse(self):
-        out = matrix_power(herm(np.diag([4.0, 0.0])), -0.5)
-        np.testing.assert_allclose(out.entries, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_scalar_powers(self):
-        out = matrix_power(herm(np.diag([0.25, 0.75])), 2)
-        np.testing.assert_allclose(out.entries, np.diag([0.0625, 0.5625]), atol=1e-15)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(InvalidInputError):
-            matrix_power(herm(np.diag([1.0, -1.0])), 0.5)
-
-    def test_power_additivity_on_support(self, rng):
-        # matrix_power(A, s+t) == matrix_power(A, s) @ matrix_power(A, t)
-        for _ in range(20):
-            rho = random_density(rng, 4).entries * 4.0
-            s, t = rng.uniform(-1, 2, size=2)
-            lhs = qmat.support_power(rho, s + t)
-            rhs = qmat.support_power(rho, s) @ qmat.support_power(rho, t)
-            assert np.linalg.norm(lhs - rhs) <= 1e-8
-
-
-class TestSchattenNorm:
-    def test_trace_norm_of_sign_matrix(self):
-        assert schatten_norm(herm(np.diag([1.0, -1.0])), 1) == pytest.approx(2.0)
-
-    def test_identity_norm(self):
-        for p in (1.0, 2.0, 3.5):
-            assert schatten_norm(herm(np.eye(4)), p) == pytest.approx(4 ** (1 / p))
-
-    def test_three_four_five(self):
-        assert schatten_norm(herm(np.diag([0.6, 0.8])), 2) == pytest.approx(1.0)
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(InvalidParameterError):
-            schatten_norm(herm(np.eye(2)), 0.5)
-
-    def test_monotone_in_p(self, rng):
-        for _ in range(10):
-            a = HermitianOperator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-            a = HermitianOperator(a.entries / schatten_norm(a, np.inf))
-            norms = [schatten_norm(a, p) for p in (1, 1.5, 2, 3, 6)]
-            assert np.all(np.diff(norms) <= 1e-10)
-
-
-class TestTraceDistance:
-    def test_self_distance(self, rng):
-        rho = random_density(rng, 3)
-        assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
-
-    def test_orthogonal_pure(self):
-        assert trace_distance(dens(np.diag([1.0, 0.0])), dens(np.diag([0.0, 1.0]))) == pytest.approx(1.0)
-
-    def test_diagonal_example(self):
-        assert trace_distance(dens(np.diag([0.75, 0.25])), dens(np.diag([0.5, 0.5]))) == pytest.approx(0.25)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(InvalidInputError):
-            trace_distance(random_density(rng, 2), random_density(rng, 3))
-
-    def test_metric_properties(self, rng):
-        for _ in range(20):
-            a, b, c = (random_density(rng, 3) for _ in range(3))
-            dab = trace_distance(a, b)
-            dba = trace_distance(b, a)
-            assert abs(dab - dba) <= 1e-10
-            assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-10
-            assert -1e-12 <= dab <= 1.0 + 1e-12
 
 
 class TestTensor:

@@ -342,6 +342,57 @@ def burnside_orbit_count(counts, k):
     return fixed_total // math.factorial(n)
 
 
+def multinomial_partitions(size, num_bins):
+    k, total = size // num_bins, math.factorial(size)
+    return total // (math.factorial(k) ** num_bins * math.factorial(num_bins))
+
+
+class TestCappedCounts:
+    def test_exact_up_to_the_limit(self):
+        for size in range(1, 25):
+            for k in range(size + 1):
+                exact = math.comb(size, k)
+                assert simulate._capped_comb(size, k, math.inf) == exact
+                for limit in (0, exact - 1, exact, exact + 1):
+                    assert simulate._capped_comb(size, k, limit) == (
+                        exact if exact <= limit else None
+                    )
+            for bins in (b for b in range(1, size + 1) if size % b == 0):
+                exact = multinomial_partitions(size, bins)
+                assert simulate._partition_count(size, bins) == exact
+                for limit in (0, exact - 1, exact, exact + 1):
+                    assert simulate._partition_count(size, bins, limit) == (
+                        exact if exact <= limit else None
+                    )
+
+    def test_stops_past_the_limit(self):
+        # C(2704156, 1352078) and 155117520! / (77558760!^2 2!) are never built
+        assert simulate._capped_comb(2_704_156, 1_352_078, 10**18) is None
+        assert simulate._partition_count(155_117_520, 2, 10**18) is None
+        assert simulate._partition_count(10**17, 10**17, 10**18) == 1
+
+    def test_refusal_prints_long_counts_as_more_than_the_cap(self):
+        with pytest.raises(CapacityError, match="^488864376 regular binnings"):
+            simulate._bin_size(20, 4, simulate.EXACT_ENUMERATION_CAP)
+        with pytest.raises(CapacityError, match="^more than 250000 regular binnings"):
+            simulate._bin_size(48_620, 2, simulate.EXACT_ENUMERATION_CAP)
+
+    def test_class_refused_before_it_is_counted(self, rng, monkeypatch):
+        states = tuple(random_density(rng, 2) for _ in range(2))
+        t = TypeDistribution(n=10**6, counts=(5 * 10**5, 5 * 10**5))
+        src = ConstantTypeSource.from_states(states, t)
+        monkeypatch.setattr(TypeDistribution, "class_size", lambda self: 1 / 0)
+        for call in (
+            lambda: d_sc_exact(src, 3),
+            lambda: d_pa_exact(src, 2),
+            lambda: verify_equivalence(src, 2),
+            lambda: d_sc_monte_carlo(src, 3, trials=2, rng_seed=0),
+            lambda: d_pa_monte_carlo(src, 2, trials=2, rng_seed=0),
+        ):
+            with pytest.raises(CapacityError, match="state-stack ceiling"):
+                call()
+
+
 class TestOrbits:
     @pytest.mark.parametrize(
         "counts, k, orbits",

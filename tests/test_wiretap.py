@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qpamp.errors import InvalidInputError, InvalidParameterError
+from qpamp.errors import CapacityError, InvalidInputError, InvalidParameterError
 from qpamp import divergence as dv
 from qpamp import exponent, simulate, wiretap
 from qpamp.model import ConstantTypeSource, TypeDistribution
@@ -236,6 +236,23 @@ class TestSimulateLeakage:
         assert rep.bins_joint == 6 and rep.bins_key == 2
         assert rep.direct is not None
         assert rep.direct <= rep.bound_sum + 1e-10
+
+    def test_nearest_divisor_matches_a_full_scan(self):
+        for size in (1, 2, 12, 36, 97, 720, 924):
+            divisors = [d for d in range(1, size + 1) if size % d == 0]
+            for target in (0.5, 1.0, 5.5, 6.0, 30.0, 1e6):
+                expected = min(divisors, key=lambda d: (abs(d - target), d))
+                assert wiretap._nearest_divisor(size, target) == expected
+
+    def test_class_too_large_to_stack_is_refused_before_the_divisor_search(
+        self, rng, monkeypatch
+    ):
+        ch = useless_eve_channel(rng)
+        t = TypeDistribution(n=60, counts=(30, 30))  # |T| ~ 1.18e17
+        alloc = RateAllocation(R=0.1, R1=0.0, R2=0.1)
+        monkeypatch.setattr(wiretap, "_nearest_divisor", lambda *a: 1 / 0)
+        with pytest.raises(CapacityError, match="state-stack ceiling"):
+            simulate_leakage(ch, t, alloc, trials=2, rng_seed=0)
 
     def test_trials_ceiling_spares_the_exact_route(self, rng, monkeypatch):
         # the Monte Carlo ceiling is checked where trials run, so trials an
