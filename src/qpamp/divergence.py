@@ -33,7 +33,7 @@ from .qmat import (
 #: divergence is reported as +inf
 SUPPORT_LEAK_ATOL = 1e-10
 
-#: defaults for the fixed-point optimizers
+#: stopping rule of every fixed-point solver but augustin_sandwiched, read when called
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
 #: weight of the new target in each fixed-point step
@@ -113,13 +113,7 @@ def _petz_trace(rho_arr: np.ndarray, sigma_arr: np.ndarray, a: float, b: float) 
     lw, lv = _state_eigs(rho_arr)
     mw, mv = _state_eigs(sigma_arr)
     overlap = np.abs(lv.conj().T @ mv) ** 2
-    la = np.where(lw > lw[-1] * SUPPORT_CUTOFF, lw, 0.0)
-    mb = np.where(mw > mw[-1] * SUPPORT_CUTOFF, mw, 0.0)
-    pa = np.zeros_like(la)
-    pa[la > 0.0] = la[la > 0.0] ** a
-    pb = np.zeros_like(mb)
-    pb[mb > 0.0] = mb[mb > 0.0] ** b
-    return float(pa @ overlap @ pb)
+    return float(_support_powers(lw, [a])[0] @ overlap @ _support_powers(mw, [b])[0])
 
 
 def _check_alpha(alpha: float, lo: float, hi: float) -> float:
@@ -216,6 +210,20 @@ def _positive_part(src: CQSource) -> tuple[np.ndarray, np.ndarray]:
     return src.state_stack()[mask], src.prior[mask]
 
 
+def _support_eigh(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigensystems of a stack of states, eigenvalues clipped at 0, and their supports."""
+    w, v = np.linalg.eigh(sigma)
+    w = np.clip(w, 0.0, None)
+    return w, v, w > w[:, -1:] * SUPPORT_CUTOFF
+
+
+def _tilt(states, cexp, w, v, supp) -> np.ndarray:
+    """sigma^c rho_x sigma^c on the support of sigma, shape (orders, |X|, d, d)."""
+    vals = np.where(supp, w, 1.0) ** cexp[:, None] * supp
+    sc = np.einsum("aij,aj,akj->aik", v, vals, v.conj())
+    return _sym(np.einsum("aij,xjk,akl->axil", sc, states, sc))
+
+
 def _sweep_fixed_point(
     states: np.ndarray,
     prior: np.ndarray,
@@ -258,10 +266,7 @@ def _sweep_fixed_point(
         idx = np.flatnonzero(active)
         sig = sigma[idx]
 
-        w, v = np.linalg.eigh(sig)
-        w = np.clip(w, 0.0, None)
-        top = w[:, -1]
-        supp = w > top[:, None] * SUPPORT_CUTOFF
+        w, v, supp = _support_eigh(sig)
         proj = np.einsum("aij,aj,akj->aik", v, supp.astype(float), v.conj())
         leak = np.einsum("xij,aji->ax", states, eye[None] - proj).real.max(axis=1)
         guard = leak > SUPPORT_LEAK_ATOL * 1e-2
@@ -270,15 +275,9 @@ def _sweep_fixed_point(
             sig[guard] = (1.0 - SUPPORT_GUARD_EPS) * sig[guard] + (
                 SUPPORT_GUARD_EPS / dim
             ) * eye
-            w, v = np.linalg.eigh(sig)
-            w = np.clip(w, 0.0, None)
-            top = w[:, -1]
-            supp = w > top[:, None] * SUPPORT_CUTOFF
+            w, v, supp = _support_eigh(sig)
 
-        vals = np.where(supp, w, 1.0) ** cexp[idx, None] * supp
-        sc = np.einsum("aij,aj,akj->aik", v, vals, v.conj())
-        omega = _sym(np.einsum("aij,xjk,akl->axil", sc, states, sc))
-        mu, u = np.linalg.eigh(omega)
+        mu, u = np.linalg.eigh(_tilt(states, cexp[idx], w, v, supp))
         mu = np.clip(mu, 0.0, None)
         powers = mu ** alphas[idx, None, None]
         z = powers.sum(axis=-1)
@@ -322,13 +321,7 @@ def _objective_at(
     """
     alphas = np.asarray(alphas, dtype=float)
     cexp = (1.0 - alphas) / (2.0 * alphas)
-    w, v = np.linalg.eigh(sigma)
-    w = np.clip(w, 0.0, None)
-    top = w[:, -1]
-    supp = w > top[:, None] * SUPPORT_CUTOFF
-    vals = np.where(supp, w, 1.0) ** cexp[:, None] * supp
-    sc = np.einsum("aij,aj,akj->aik", v, vals, v.conj())
-    omega = _sym(np.einsum("aij,xjk,akl->axil", sc, states, sc))
+    omega = _tilt(states, cexp, *_support_eigh(sigma))
     mu = np.clip(np.linalg.eigvalsh(omega), 0.0, None)
     powers = mu ** alphas[:, None, None]
     z = powers.sum(axis=-1)  # (na, K)
@@ -356,6 +349,7 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter):
 
     ``alpha`` is one order (a scalar solve) or an array of them (a curve).
     The Augustin mode accepts orders in (0, 2], the conditional mode (1, 2].
+    ``tol`` and ``max_iter`` are augustin_sandwiched's, or else the defaults.
     The ConvergenceError of a scalar solve carries its AugustinResult as
     ``best``; that of a curve carries the value array.  Returns (values,
     sigmas, iterations, final_steps).
@@ -412,20 +406,14 @@ def augustin_petz_up(src: CQSource, alpha: float) -> float:
     return float(augustin_petz_up_curve(src, alpha))
 
 
-def conditional_renyi_sandwiched(
-    src: CQSource,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def conditional_renyi_sandwiched(src: CQSource, alpha: float) -> float:
     """Sandwiched conditional Renyi entropy H*_alpha(X|B) for alpha in (1, 2].
 
     Computed as -min_sigma (1/(alpha-1)) log sum_x p(x)^alpha
     exp((alpha-1) D*_alpha(rho_x||sigma)) with the same damped fixed-point
     scheme as the Augustin optimization.
     """
-    values = _fixed_point(src, alpha, True, tol, max_iter)[0]
-    return float(values[0])
+    return float(_fixed_point(src, alpha, True, DEFAULT_TOL, DEFAULT_MAX_ITER)[0][0])
 
 
 def conditional_renyi_petz_down(src: CQSource, alpha: float) -> float:
@@ -442,35 +430,25 @@ def conditional_renyi_petz_down(src: CQSource, alpha: float) -> float:
     return float(-_logsumexp(logterms) / (alpha - 1.0))
 
 
-def augustin_sandwiched_curve(
-    src: CQSource,
-    alphas,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def augustin_sandwiched_curve(src: CQSource, alphas) -> np.ndarray:
     """Sandwiched Augustin information over a grid of alpha values.
 
     Same semantics per alpha as augustin_sandwiched; the iteration is batched
     over the grid for speed.  Raises ConvergenceError if any point fails.
     """
-    return _fixed_point(src, alphas, False, tol, max_iter)[0]
+    return _fixed_point(src, alphas, False, DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
 
 
-def conditional_renyi_sandwiched_curve(
-    src: CQSource,
-    alphas,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def conditional_renyi_sandwiched_curve(src: CQSource, alphas) -> np.ndarray:
     """H*_alpha(X|B) over a grid of alpha values in (1, 2]."""
-    return _fixed_point(src, alphas, True, tol, max_iter)[0]
+    return _fixed_point(src, alphas, True, DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
 
 
 def _support_powers(w: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """w ** t on the support of w and 0 off it, one row per exponent t.
 
-    Each row takes its exponent as a Python float, as _petz_trace does: numpy
-    computes t = 2, 0.5 and -1 exactly then, and a broadcast power may not.
+    Each row takes its exponent as a Python float: numpy computes t = 2, 0.5
+    and -1 exactly then, and a broadcast power may not.
     """
     mask = w > w[-1] * SUPPORT_CUTOFF
     base = np.where(mask, w, 1.0)

@@ -52,6 +52,8 @@ ALPHA_MARGIN = 1e-4
 GRID_POINTS = 400
 #: coarser grid used for the inner sweeps of the type-decomposition scan
 SCAN_POINTS = 80
+#: cap on the n-types the type-decomposition scan may visit
+SCAN_TYPES_CAP = 10**4
 #: bracket width at which golden-section refinement stops
 REFINE_XTOL = 1e-8
 #: golden-section steps whose possible points one refinement batch evaluates
@@ -162,6 +164,11 @@ def _check_rate(rate: float) -> None:
 def _check_n(n: int | None) -> None:
     if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
         raise InvalidParameterError(f"n must be an integer >= 1, got {n}")
+    if n is not None and n > sys.float_info.max:
+        raise InvalidParameterError(
+            f"n must be at most {sys.float_info.max:.4g}, "
+            f"got a {int(n).bit_length()}-bit integer"
+        )
 
 
 def _golden_step(lo, hi, c, d, c_wins: bool):
@@ -462,21 +469,20 @@ def iid_exponent_via_types(
     n: int,
     *,
     points: int = GRID_POINTS,
-    scan_points: int = SCAN_POINTS,
-    cap: int = 10**4,
 ) -> ExponentReport:
     """I.i.d. privacy-amplification exponent by scanning all n-types.
 
     min over n-types q of sup over alpha in (1,2) of
     D(q||p) + ((alpha-1)/alpha)(H(q) - I_aug*(alpha; source with prior q) - R).
-    The scan uses a coarse inner alpha grid; the winning type is re-evaluated
-    on the full grid for the reported curve.
+    The scan visits at most SCAN_TYPES_CAP types on a SCAN_POINTS inner alpha
+    grid; the winning type is re-evaluated on the full grid for the reported
+    curve.
     """
     _check_rate(rate)
     if n is None:
         raise InvalidParameterError("the i.i.d. exponent requires a blocklength n")
     _check_n(n)
-    types = enumerate_n_types(src.alphabet_size, n, cap=cap)
+    types = enumerate_n_types(src.alphabet_size, n, cap=SCAN_TYPES_CAP)
     prefactor = 1.5 * src.alphabet_size * math.log(n + 1.0)
 
     best_val = math.inf
@@ -490,7 +496,7 @@ def iid_exponent_via_types(
         shift = (dv.shannon_entropy(q), -rate)
         v = _sup_over_alpha(
             src_q, "augustin", shift, prefactor_log=prefactor, meta={}, offset=dq,
-            points=scan_points,
+            points=SCAN_POINTS,
         ).exponent
         if v < best_val:
             best_val = v

@@ -8,6 +8,7 @@ domain, with exact integer multinomials used wherever divisibility matters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,8 @@ from .qmat import DensityOperator, HermitianOperator
 
 #: default cap on the number of sequences / types an enumeration may produce
 ENUMERATION_CAP = 10**6
+#: a refused count up to this is printed in full, a larger one as "more than" the cap
+_SHOWN_COUNT = 10**18
 PRIOR_ATOL = 1e-12
 #: log(sqrt(2 pi)) and the Stirling-series coefficients in 1/x^2 of cephes
 #: lgam, below x = 1000 and from there on
@@ -85,6 +88,11 @@ class TypeDistribution:
         counts = tuple(int(c) for c in self.counts)
         if self.n < 1:
             raise InvalidInputError(f"blocklength must be >= 1, got {self.n}")
+        if self.n > sys.float_info.max:
+            raise InvalidInputError(
+                f"blocklength must be at most {sys.float_info.max:.4g}, "
+                f"got a {int(self.n).bit_length()}-bit integer"
+            )
         if any(c < 0 for c in counts) or sum(counts) != self.n:
             raise InvalidInputError(f"counts {counts} do not sum to n={self.n}")
         object.__setattr__(self, "counts", counts)
@@ -172,30 +180,43 @@ def type_class_log_size(t: TypeDistribution) -> float:
     return _log_factorial(t.n) - sum(_log_factorial(c) for c in t.counts)
 
 
+def _capped_comb(n: int, k: int, limit: float) -> int | None:
+    """C(n, k), or None as soon as it passes `limit`.
+
+    The running products C(n-k+t, t), t = 1..min(k, n-k), at least double at
+    every step, so a count too large to build costs a few dozen steps.
+    """
+    k, c = min(k, n - k), 1
+    for t in range(1, k + 1):
+        c = c * (n - k + t) // t
+        if c > limit:
+            return None
+    return c if c <= limit else None
+
+
 def enumerate_type_class(
     t: TypeDistribution, cap: int = ENUMERATION_CAP
 ) -> list[tuple[int, ...]]:
-    """All sequences of the type, as integer tuples in lexicographic order."""
+    """All sequences of the type, as integer tuples in lexicographic order.
+
+    Starts from the sorted sequence and steps to the lexicographic successor
+    (the next permutation of the multiset), so no recursion grows with n.
+    """
     size = t.class_size()
     if size > cap:
         raise CapacityError(f"type class has {size} sequences, above the cap {cap}")
-    counts = list(t.counts)
-    seq: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def rec():
-        if len(seq) == t.n:
-            out.append(tuple(seq))
-            return
-        for x in range(len(counts)):
-            if counts[x]:
-                counts[x] -= 1
-                seq.append(x)
-                rec()
-                seq.pop()
-                counts[x] += 1
-
-    rec()
+    seq = [x for x, c in enumerate(t.counts) for _ in range(c)]
+    out = [tuple(seq)]
+    for _ in range(size - 1):
+        i = len(seq) - 2
+        while seq[i] >= seq[i + 1]:
+            i -= 1
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = seq[:i:-1]
+        out.append(tuple(seq))
     return out
 
 
@@ -205,9 +226,10 @@ def enumerate_n_types(
     """All n-types on the alphabet (weak compositions of n)."""
     if alphabet_size < 1 or n < 1:
         raise InvalidInputError("alphabet_size and n must be >= 1")
-    total = math.comb(n + alphabet_size - 1, alphabet_size - 1)
-    if total > cap:
-        raise CapacityError(f"{total} n-types exceeds the cap {cap}")
+    total = _capped_comb(n + alphabet_size - 1, alphabet_size - 1, max(cap, _SHOWN_COUNT))
+    if total is None or total > cap:
+        shown = f"more than {cap}" if total is None else total
+        raise CapacityError(f"{shown} n-types exceeds the cap {cap}")
     out: list[TypeDistribution] = []
     parts: list[int] = []
 

@@ -6,13 +6,13 @@ uniform codebook without repetition of size |T|/bins, so exact d_PA is d_SC at
 that size (the PA <-> SC identity).  Every exact expectation is a mean over
 k-subsets streamed one eigvalsh batch at a time.  Permuting sequence positions
 is a unitary on the tensor factors that fixes the type-class marginal, so a
-subset's distance is constant on its S_n-orbit: ``d_sc_exact`` (hence
-``d_pa_exact``) and the direct wiretap leakage diagonalise one representative
+subset's distance is constant on its S_n-orbit: ``d_sc_exact``,
+``d_pa_exact`` and the direct wiretap leakage diagonalise one representative
 per orbit, weighted by the orbit size.  ``verify_equivalence`` stays the plain
 certificate: it streams every subset and walks every binning.  The caps are
-checked on the full subset count before any orbit is labelled; a count stops
-being multiplied once it passes its cap, and a class whose states could
-never be stacked is refused before |T| is counted.
+checked on the full count before any orbit is labelled; a count stops being
+multiplied once it passes its cap, and a class whose states could never be
+stacked is refused before |T| is counted.
 
 Monte Carlo trials draw a seeded regular binning or codebook without
 repetition each, that is a set of k-subsets of the type class.  On small
@@ -39,13 +39,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidParameterError
-from .model import ConstantTypeSource, enumerate_type_class, type_class_log_size
+from .model import _SHOWN_COUNT, ConstantTypeSource, _capped_comb, enumerate_type_class
+from .model import type_class_log_size
 from .qmat import DIMENSION_CAP
 
-#: cap on the number of partitions / subsets an exact expectation may visit
+#: cap on the binnings / codebooks of an exact route and the sequences of a Monte Carlo one
 EXACT_ENUMERATION_CAP = 250_000
-#: a refused count up to this is printed in full, a larger one as "more than" the cap
-_SHOWN_COUNT = 10**18
 _MASK64 = (1 << 64) - 1
 #: complex entries per eigvalsh batch (~32 MB)
 _BATCH_ENTRIES = 2_097_152
@@ -143,36 +142,21 @@ def _class_size(src: ConstantTypeSource) -> int:
     return t.class_size()
 
 
-def _prepare(src: ConstantTypeSource, cap: int):
+def _prepare(src: ConstantTypeSource, cap: float = math.inf):
+    """Type class, sequence states and their mean; the exact routes gate their own counts."""
     domain = tuple(enumerate_type_class(src.type, cap=cap))
     states = _sequence_state_stack(src, domain)
     marginal = states.mean(axis=0)
     return domain, states, marginal
 
 
-def _bin_size(size: int, num_bins: int, cap: int | None = None) -> int:
-    """|T| / num_bins for a regular binning; refuses more than `cap` binnings."""
+def _bin_size(size: int, num_bins: int) -> int:
+    """|T| / num_bins for a regular binning."""
     if num_bins < 1 or size % num_bins:
         raise InvalidParameterError(
             f"num_bins={num_bins} does not divide |T| = {size} exactly"
         )
-    if cap is not None:
-        _counted_within(cap, "regular binnings", _partition_count, size, num_bins)
     return size // num_bins
-
-
-def _capped_comb(n: int, k: int, limit: float) -> int | None:
-    """C(n, k), or None as soon as it passes `limit`.
-
-    The running products C(n-k+t, t), t = 1..min(k, n-k), at least double at
-    every step, so a count too large to build costs a few dozen steps.
-    """
-    k, c = min(k, n - k), 1
-    for t in range(1, k + 1):
-        c = c * (n - k + t) // t
-        if c > limit:
-            return None
-    return c if c <= limit else None
 
 
 def _partition_count(size: int, num_bins: int, limit: float = math.inf) -> int | None:
@@ -189,8 +173,9 @@ def _partition_count(size: int, num_bins: int, limit: float = math.inf) -> int |
     return total if total <= limit else None
 
 
-def _counted_within(cap: int, what: str, count: Callable[..., int | None], *args) -> int:
-    """``count(*args, limit)``, refused with CapacityError when above `cap`."""
+def _counted_within(what: str, count: Callable[..., int | None], *args) -> int:
+    """``count(*args, limit)``, refused with CapacityError above EXACT_ENUMERATION_CAP."""
+    cap = EXACT_ENUMERATION_CAP
     total = count(*args, max(cap, _SHOWN_COUNT))
     if total is None or total > cap:
         shown = f"more than {cap}" if total is None else total
@@ -212,9 +197,9 @@ def _equal_partitions(elems: tuple[int, ...], k: int) -> Iterator[tuple[tuple[in
             yield (block,) + sub
 
 
-def _check_stream_bytes(src: ConstantTypeSource, k: int) -> None:
-    """Refuse before allocating when the k-subset differences pass the ceiling."""
-    n_subsets, dim = math.comb(src.type.class_size(), k), src.base.dim_b**src.n
+def _check_stream_bytes(src: ConstantTypeSource, n_subsets: int) -> None:
+    """Refuse before allocating when the subset differences pass the ceiling."""
+    dim = src.base.dim_b**src.n
     if n_subsets * dim * dim * 16 > _STREAM_BYTES_CAP:
         raise CapacityError(
             f"{n_subsets} subsets of {dim}x{dim} states exceed the "
@@ -304,40 +289,41 @@ def _subset_distances(
         yield 0.5 * np.abs(np.linalg.eigvalsh(sums)).sum(axis=-1)
 
 
-def d_sc_exact(
-    src: ConstantTypeSource, M: int, cap: int = EXACT_ENUMERATION_CAP
-) -> float:
-    """Exact expected trace distance of the M-codeword average to the marginal.
-
-    Averages over all M-subsets of the type class (uniform codebook without
-    repetition): the distance of one representative per S_n-orbit, weighted
-    by the orbit size.  The cap and the byte ceiling count every M-subset.
-    """
-    size = _class_size(src)
-    if not 1 <= M <= size:
-        raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
-    n_subsets = _counted_within(cap, "codebooks", _capped_comb, size, M)
-    _check_stream_bytes(src, M)
-    domain, states, marginal = _prepare(src, cap=max(cap, size))
-    reps, sizes = _subset_orbits(domain, M)
+def _orbit_mean(src: ConstantTypeSource, k: int, n_subsets: int) -> float:
+    """Mean 0.5 ||avg(B) - marginal||_1 over all k-subsets B, one per S_n-orbit, weighted."""
+    _check_stream_bytes(src, n_subsets)
+    domain, states, marginal = _prepare(src)
+    reps, sizes = _subset_orbits(domain, k)
     dists = np.concatenate(list(_subset_distances(states, marginal, reps)))
     return float(dists @ sizes) / n_subsets
 
 
-def d_pa_exact(
-    src: ConstantTypeSource, num_bins: int, cap: int = EXACT_ENUMERATION_CAP
-) -> float:
+def d_sc_exact(src: ConstantTypeSource, M: int) -> float:
+    """Exact expected trace distance of the M-codeword average to the marginal.
+
+    Averages over all M-subsets of the type class (uniform codebook without
+    repetition).  EXACT_ENUMERATION_CAP and the byte ceiling count every
+    M-subset.
+    """
+    size = _class_size(src)
+    if not 1 <= M <= size:
+        raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
+    return _orbit_mean(src, M, _counted_within("codebooks", _capped_comb, size, M))
+
+
+def d_pa_exact(src: ConstantTypeSource, num_bins: int) -> float:
     """Exact expected privacy-amplification distance over all regular binnings.
 
     The composite trace norm is the mean per-bin distance, and each bin of a
     uniformly random regular binning is a uniform (|T|/num_bins)-subset, so
-    this is d_sc_exact at codebook size |T|/num_bins; no binning is walked.
-    The cap counts regular binnings; the subset byte ceiling applies too.
+    this is the d_sc_exact mean at codebook size |T|/num_bins; no binning is
+    walked.  EXACT_ENUMERATION_CAP counts regular binnings, the byte ceiling
+    the subsets, which may be up to num_bins times more.
     """
     size = _class_size(src)
-    k = _bin_size(size, num_bins, cap)
-    # the binning count is the gate; the k-subsets may be up to num_bins times more
-    return d_sc_exact(src, k, cap=max(cap, math.comb(size, k)))
+    k = _bin_size(size, num_bins)
+    _counted_within("regular binnings", _partition_count, size, num_bins)
+    return _orbit_mean(src, k, math.comb(size, k))
 
 
 def _check_trials_threads(trials: int, threads: int) -> None:
@@ -414,7 +400,7 @@ def d_sc_monte_carlo(
     size = _class_size(src)
     if not 1 <= M <= size:
         raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
-    _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
+    _, states, marginal = _prepare(src, EXACT_ENUMERATION_CAP)
     return _mc_run(
         states, marginal, lambda rng: np.sort(_draw_without_replacement(rng, size, M)),
         (1, M), trials, rng_seed, threads,
@@ -432,26 +418,26 @@ def d_pa_monte_carlo(
     """Monte Carlo estimate of d_pa_exact over sampled regular binnings."""
     size = _class_size(src)
     k = _bin_size(size, num_bins)
-    _, states, marginal = _prepare(src, cap=EXACT_ENUMERATION_CAP)
+    _, states, marginal = _prepare(src, EXACT_ENUMERATION_CAP)
     return _mc_run(
         states, marginal, lambda rng: _draw_binning(rng, num_bins, k),
         (num_bins, k), trials, rng_seed, threads,
     )
 
 
-def verify_equivalence(
-    src: ConstantTypeSource, num_bins: int, cap: int = EXACT_ENUMERATION_CAP
-) -> EquivalenceReport:
+def verify_equivalence(src: ConstantTypeSource, num_bins: int) -> EquivalenceReport:
     """Exact check of the PA <-> soft-covering equivalence by two routes.
 
     d_PA walks every regular binning (unordered equal-size partition) and d_SC
     is d_sc_exact at codebook size |T|/num_bins; one subset pass feeds both.
     The two are provably equal, so any gap is floating-point error.
+    EXACT_ENUMERATION_CAP counts regular binnings, as in d_pa_exact.
     """
     size = _class_size(src)
-    k = _bin_size(size, num_bins, cap)
-    _check_stream_bytes(src, k)
-    _, states, marginal = _prepare(src, cap=max(cap, size))
+    k = _bin_size(size, num_bins)
+    _counted_within("regular binnings", _partition_count, size, num_bins)
+    _check_stream_bytes(src, math.comb(size, k))
+    _, states, marginal = _prepare(src)
     chunks = list(_subset_distances(states, marginal, combinations(range(size), k)))
     d_sc = sum(float(d.sum()) for d in chunks) / math.comb(size, k)
     dist = dict(zip(combinations(range(size), k), np.concatenate(chunks).tolist()))

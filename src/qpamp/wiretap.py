@@ -313,7 +313,7 @@ def _direct_leakage_exact(eve: ConstantTypeSource, m: int, ell: int) -> float | 
     n_slices = math.comb(size, slice_size)
     if simulate._partition_count(slice_size, m, _DIRECT_CAP // n_slices) is None:
         return None
-    domain, states, _ = simulate._prepare(eve, cap=size)
+    domain, states, _ = simulate._prepare(eve)
     total = 0.0
     for subset, weight in zip(*simulate._subset_orbits(domain, slice_size)):
         sub = states[subset]

@@ -13,6 +13,8 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SOURCE = os.path.join(DATA, "source_bb84.json")
 CHANNEL = os.path.join(DATA, "wiretap_product.json")
+#: a 401-digit integer, far past the float range
+BIG = "1" + "0" * 400
 
 
 def run(capsys, argv):
@@ -234,11 +236,29 @@ class TestSimulate:
               "--M", "1352078"], 3),
             (["simulate", "{flat}", "--task", "equivalence", "--type", "15,15",
               "--bins", "2"], 3),
+            # the Monte Carlo routes stack at most 250,000 sequences
+            (["simulate", "{flat}", "--task", "pa", "--type", "11,11", "--bins", "2",
+              "--trials", "2"], 3),
             # sigma^c underflows at c ~ 5000: a non-finite step, not a converged one
             (["augustin", SOURCE, "--alpha", "1e-4"], 2),
+            # blocklengths no float holds, and an n-type count of 101 digits
+            (["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1", "--n", BIG], 1),
+            (["exponent", SOURCE, "--kind", "pa-converse", "--rate", "0.1", "--n", BIG], 1),
+            (["exponent", SOURCE, "--kind", "sc-converse", "--rate", "0.1", "--n", BIG,
+              "--finite-n"], 1),
+            (["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1", "--n", BIG,
+              "--finite-n"], 1),
+            (["exponent", SOURCE, "--kind", "iid", "--rate", "0.1", "--n", BIG], 1),
+            (["exponent", SOURCE, "--kind", "iid", "--rate", "0.1", "--n", "1" + "0" * 100], 3),
+            (["simulate", SOURCE, "--task", "pa", "--type", BIG + ",1", "--bins", "2"], 1),
+            (["wiretap", CHANNEL, "--simulate", "--rate", "0.1", "--type", BIG + ",1",
+              "--delta", "0.06"], 1),
         ],
         ids=["pa-9", "sc-9", "eq-8", "pa-15", "eq-15", "sc-12", "sc-500000", "wiretap-9",
-             "wiretap-30", "flat-pa-9", "flat-sc-12", "flat-eq-15", "alpha-1e-4"],
+             "wiretap-30", "flat-pa-9", "flat-sc-12", "flat-eq-15", "flat-mc-11", "alpha-1e-4",
+             "big-n-pa-direct", "big-n-pa-converse", "big-n-sc-converse-finite",
+             "big-n-pa-direct-finite", "big-n-iid", "googol-n-iid", "big-type-pa",
+             "big-type-wiretap"],
     )
     def test_out_of_reach_input_exits_with_one_short_error(self, tmp_path, argv, code):
         flat = tmp_path / "flat.json"
@@ -249,6 +269,14 @@ class TestSimulate:
         assert out.stdout == ""
         assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
         assert len(out.stderr) < 200 and "Traceback" not in out.stderr
+
+    def test_long_one_dimensional_class_runs(self, capsys, tmp_path):
+        # 1,500 positions: the type class is enumerated without recursion
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"prior": [1.0, 0.0], "states": [[[[1, 0]]]] * 2}))
+        doc = run_json(capsys, ["simulate", str(one), "--task", "sc", "--exact",
+                                "--type", "1500,0", "--M", "1"])
+        assert doc["result"] == {"value": 0.0}
 
 
 class TestWiretap:

@@ -248,28 +248,33 @@ class TestAugustinSandwiched:
         assert math.isfinite(best.value)
 
     @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
-    def test_bad_max_iter_rejected(self, rng, max_iter):
+    def test_bad_max_iter_rejected(self, rng, monkeypatch, max_iter):
         src = rand_source(rng, 2, 2)
+        with pytest.raises(InvalidParameterError, match="max_iter"):
+            dv.augustin_sandwiched(src, 1.5, max_iter=max_iter)
+        # the other solvers read the module default when called
+        monkeypatch.setattr(dv, "DEFAULT_MAX_ITER", max_iter)
         for solve in (
-            dv.augustin_sandwiched,
             dv.conditional_renyi_sandwiched,
             dv.augustin_sandwiched_curve,
             dv.conditional_renyi_sandwiched_curve,
         ):
             with pytest.raises(InvalidParameterError, match="max_iter"):
-                solve(src, 1.5, max_iter=max_iter)
+                solve(src, 1.5)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
-    def test_bad_tol_rejected(self, rng, tol):
+    def test_bad_tol_rejected(self, rng, monkeypatch, tol):
         src = rand_source(rng, 2, 2)
+        with pytest.raises(InvalidParameterError, match="tol"):
+            dv.augustin_sandwiched(src, 1.5, tol=tol)
+        monkeypatch.setattr(dv, "DEFAULT_TOL", tol)
         for solve in (
-            dv.augustin_sandwiched,
             dv.conditional_renyi_sandwiched,
             dv.augustin_sandwiched_curve,
             dv.conditional_renyi_sandwiched_curve,
         ):
             with pytest.raises(InvalidParameterError, match="tol"):
-                solve(src, 1.5, tol=tol)
+                solve(src, 1.5)
 
     def test_curve_matches_single_calls(self, rng):
         src = rand_source(rng, 3, 2, mix=0.1)

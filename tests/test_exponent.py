@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -27,9 +26,8 @@ def empty_curve_memo():
 
 
 def _one_iteration_sweeps(monkeypatch):
-    """Make every Augustin sweep stop after one fixed-point step."""
-    curve = partial(dv.augustin_sandwiched_curve, max_iter=1)
-    monkeypatch.setattr(dv, "augustin_sandwiched_curve", curve)
+    """Make every fixed-point sweep stop after one step."""
+    monkeypatch.setattr(dv, "DEFAULT_MAX_ITER", 1)
 
 
 def trivial_source(p=(0.3, 0.7), dim=2, seed=0) -> CQSource:
@@ -306,7 +304,7 @@ class TestIidViaTypes:
         # point-mass types: D(delta_x || p) with vanishing entropy/Augustin terms
         assert rep.exponent == pytest.approx(min(-math.log(px) for px in p), abs=1e-3)
 
-    def test_classical_matches_scalar_oracle(self, rng):
+    def test_classical_matches_scalar_oracle(self, rng, monkeypatch):
         p = np.array([0.55, 0.45])
         W = rng.dirichlet(np.ones(2), size=2)
         src = diag_source(p, W)
@@ -322,12 +320,14 @@ class TestIidViaTypes:
             return oracles.sup_alpha(fn, 1.0, 2.0, grid_points=120)[1]
 
         expected = min(inner(np.array([k / n, 1 - k / n])) for k in range(n + 1))
-        ours = exponent.iid_exponent_via_types(src, rate, n, scan_points=60)
+        monkeypatch.setattr(exponent, "SCAN_POINTS", 60)
+        ours = exponent.iid_exponent_via_types(src, rate, n)
         assert ours.exponent == pytest.approx(expected, abs=1e-6)
 
-    def test_prefactor_and_meta(self, rng):
+    def test_prefactor_and_meta(self, rng, monkeypatch):
         src = diag_source([0.5, 0.5], rng.dirichlet(np.ones(2), size=2))
-        rep = exponent.iid_exponent_via_types(src, 0.1, 4, scan_points=40)
+        monkeypatch.setattr(exponent, "SCAN_POINTS", 40)
+        rep = exponent.iid_exponent_via_types(src, 0.1, 4)
         assert rep.prefactor_log == pytest.approx(3.0 * math.log(5))
         assert sum(rep.meta["minimizing_type"]) == 4
 
@@ -374,9 +374,10 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="blocklength"):
             exponent.iid_exponent_via_types(trivial_source(), 0.1, None)
 
-    def test_iid_type_enumeration_cap(self):
+    def test_iid_type_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(exponent, "SCAN_TYPES_CAP", 5)
         with pytest.raises(CapacityError):
-            exponent.iid_exponent_via_types(trivial_source(), 0.1, 20, cap=5)
+            exponent.iid_exponent_via_types(trivial_source(), 0.1, 20)
 
     def test_grid_ceiling_refuses_every_kind(self, monkeypatch, rng):
         # 40 orders of 2 qubit states are 40 * 2 * 4 * 16 = 5,120 bytes; one
@@ -388,13 +389,14 @@ class TestValidation:
             DensityOperator(tensor([s, eve])) for s in orthogonal_source((0.5, 0.5)).states
         )
         ch = WiretapChannel(prior=np.array([0.5, 0.5]), joint_states=joint, dims=(2, 2))
+        monkeypatch.setattr(exponent, "SCAN_POINTS", 40)
         kinds = (
             lambda: exponent.sc_achievability_exponent(src, 0.3, points=40),
             lambda: exponent.sc_converse_exponent(src, 0.3, points=40),
             lambda: exponent.pa_achievability_exponent(src, 0.1, points=40),
             lambda: exponent.pa_strong_converse_exponent(src, 0.1, points=40),
             lambda: exponent.dupuis_exponent(src, 0.1, points=40),
-            lambda: exponent.iid_exponent_via_types(src, 0.1, 2, points=40, scan_points=40),
+            lambda: exponent.iid_exponent_via_types(src, 0.1, 2, points=40),
             lambda: secrecy_exponent(ch, 0.01, points=40),
             lambda: allocate_rates(ch, 0.0, 0.2, 8, points=40),
         )
@@ -486,8 +488,9 @@ def _random_channel(rng) -> WiretapChannel:
     return WiretapChannel(prior=np.array([0.5, 0.5]), joint_states=joint, dims=(2, 2))
 
 
-def _all_kinds(inst, ch):
+def _all_kinds(inst, ch, monkeypatch):
     """Every exponent kind on one constant-type instance and one channel."""
+    monkeypatch.setattr(exponent, "SCAN_POINTS", 20)
     src, n = inst.base, inst.type.n
     rate = 0.5 * exponent.conditional_entropy_limit(src)
     return {
@@ -499,7 +502,7 @@ def _all_kinds(inst, ch):
         ),
         "pa-converse": lambda: exponent.pa_strong_converse_exponent(src, rate, n=n),
         "dupuis": lambda: exponent.dupuis_exponent(src, rate),
-        "iid": lambda: exponent.iid_exponent_via_types(src, rate, 3, scan_points=20),
+        "iid": lambda: exponent.iid_exponent_via_types(src, rate, 3),
         "secrecy": lambda: wiretap.secrecy_exponent(ch, 0.01),
         "allocation": lambda: wiretap.allocate_rates(ch, 0.0, 0.05, 8).bob_decoding_exponent,
     }
@@ -510,7 +513,7 @@ class TestSpeculativeRefinement:
     def test_bit_identical_to_sequential_refinement(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         inst = rand_instance(rng, alphabet_size=2 + seed % 2)
-        kinds = _all_kinds(inst, _random_channel(rng))
+        kinds = _all_kinds(inst, _random_channel(rng), monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(exponent, "_sup_over_alpha", sequential_sup)
             m.setattr(wiretap, "_sup_over_alpha", sequential_sup)
@@ -591,10 +594,11 @@ class TestSpeculativeRefinement:
     )
     def test_one_order_raises_the_single_point_error(self, monkeypatch, rng, family, solve):
         src = rand_source(rng, 2, 2)
+        monkeypatch.setattr(dv, "DEFAULT_MAX_ITER", 2)
+        # augustin_sandwiched takes its own max_iter; the other solvers read the default
+        args = (dv.DEFAULT_TOL, 2) if solve is dv.augustin_sandwiched else ()
         with pytest.raises(ConvergenceError) as scalar:
-            solve(src, 1.5, dv.DEFAULT_TOL, 2)
-        name = _GRID_FUNCTIONS[family]
-        monkeypatch.setattr(dv, name, partial(getattr(dv, name), max_iter=2))
+            solve(src, 1.5, *args)
         with pytest.raises(ConvergenceError) as refine:
             exponent._FAMILIES[family].curve(src, 1.5)
         assert str(refine.value) == str(scalar.value)
@@ -633,10 +637,10 @@ def _rebuilt(src: CQSource, prior=None) -> CQSource:
 
 class TestCurveCache:
     @pytest.mark.parametrize("seed", range(3))
-    def test_warm_memo_is_bit_identical(self, seed):
+    def test_warm_memo_is_bit_identical(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         inst = rand_instance(rng, alphabet_size=2 + seed % 2)
-        kinds = _all_kinds(inst, _random_channel(rng))
+        kinds = _all_kinds(inst, _random_channel(rng), monkeypatch)
         cold = {}
         for k, fn in kinds.items():
             exponent._CURVES.clear()

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestTypeCombinatorics:
             assert len(seqs) == t.class_size()
             assert len(seqs) == pytest.approx(math.exp(type_class_log_size(t)))
             assert len(set(seqs)) == len(seqs)
-            assert seqs == sorted(seqs)
+            assert seqs == sorted(set(permutations(seqs[0])))
 
     def test_class_size_is_the_multinomial(self):
         for counts in [(1,), (2, 1), (3, 3), (0, 5), (4, 2, 1), (1, 0, 0, 7), (9, 9), (5, 5, 5, 5)]:
@@ -108,6 +109,17 @@ class TestTypeCombinatorics:
     def test_enumeration_cap(self):
         with pytest.raises(CapacityError):
             enumerate_type_class(TypeDistribution(n=30, counts=(15, 15)), cap=1000)
+
+    def test_enumeration_of_a_long_sequence(self):
+        # no recursion level per position: n far above the interpreter's limit
+        assert enumerate_type_class(TypeDistribution(n=1500, counts=(1500, 0))) == [(0,) * 1500]
+
+    def test_n_types_refusal_prints_long_counts_as_more_than_the_cap(self):
+        # up to 10**18 the count is printed in full
+        with pytest.raises(CapacityError, match="^100000000000000001 n-types exceeds"):
+            enumerate_n_types(2, 10**17, cap=10**4)
+        with pytest.raises(CapacityError, match="^more than 10000 n-types exceeds the cap 10000$"):
+            enumerate_n_types(2, 10**100, cap=10**4)
 
     def test_n_types_counts(self):
         assert {t.counts for t in enumerate_n_types(2, 1)} == {(1, 0), (0, 1)}

@@ -119,10 +119,11 @@ class TestSoftCoveringDistance:
         for m in (1, 2, 3, 6):
             assert d_sc_exact(src, m) == pytest.approx(0.0, abs=1e-12)
 
-    def test_capacity_cap(self, rng):
+    def test_capacity_cap(self, rng, monkeypatch):
         src = equal_states_source(rng)
+        monkeypatch.setattr(simulate, "EXACT_ENUMERATION_CAP", 10)
         with pytest.raises(CapacityError):
-            d_sc_exact(src, 3, cap=10)
+            d_sc_exact(src, 3)
 
     def test_monte_carlo_matches_exact(self, rng):
         src = rand_instance(rng, alphabet_size=2, dim=2)
@@ -138,7 +139,7 @@ class TestSoftCoveringDistance:
         est = d_sc_monte_carlo(src, 2, trials=1, rng_seed=77)
         assert est.std_error == 0.0
         sel = np.sort(simulate._draw_without_replacement(substream(77, 0), size, 2))
-        domain, states, marginal = simulate._prepare(src, cap=10**6)
+        domain, states, marginal = simulate._prepare(src)
         diff = states[sel].mean(axis=0) - marginal
         assert est.mean == pytest.approx(0.5 * trace_norm(diff), abs=1e-14)
 
@@ -190,7 +191,7 @@ class TestPrivacyAmplificationDistance:
         rho0 = random_density(rng, 2)
         rho1 = random_density(rng, 2)
         src = ConstantTypeSource.from_states((rho0, rho1), TypeDistribution(n=2, counts=(1, 1)))
-        domain, states, marginal = simulate._prepare(src, cap=100)
+        domain, states, marginal = simulate._prepare(src)
         size = len(domain)
         num_bins = 2
         k = size // num_bins
@@ -209,12 +210,13 @@ class TestPrivacyAmplificationDistance:
             count += 1
         assert d_pa_exact(src, num_bins) == pytest.approx(total / count, abs=1e-13)
 
-    def test_partition_cap(self, rng):
+    def test_partition_cap(self, rng, monkeypatch):
         src = rand_instance(rng, alphabet_size=2, dim=2)
         size = src.type.class_size()
         bins = next(b for b in (2, 3, 5) if size % b == 0)
+        monkeypatch.setattr(simulate, "EXACT_ENUMERATION_CAP", 0)
         with pytest.raises(CapacityError):
-            d_pa_exact(src, bins, cap=0)
+            d_pa_exact(src, bins)
 
     def test_streams_in_bounded_memory(self, rng):
         # (4,2) at d_B = 2: 126,126 binnings, 3,003 five-subsets of 64x64
@@ -235,7 +237,7 @@ class TestPrivacyAmplificationDistance:
         # streaming kernel: 197 MB of 64x64 differences, held one batch at a time
         states = tuple(random_density(rng, 2) for _ in range(2))
         src = ConstantTypeSource.from_states(states, TypeDistribution(n=6, counts=(4, 2)))
-        _, stack, marginal = simulate._prepare(src, cap=100)
+        _, stack, marginal = simulate._prepare(src)
         tracemalloc.start()
         try:
             count = sum(
@@ -304,16 +306,19 @@ class TestPrivacyAmplificationDistance:
         monkeypatch.setattr(simulate, "_MC_VALUES_BYTES_CAP", 3 * 8)
         assert d_pa_monte_carlo(src, bins, trials=3, rng_seed=0).trials == 3
 
-    def test_refuses_exactly_over_the_binning_cap(self, rng):
+    def test_refuses_exactly_over_the_binning_cap(self, rng, monkeypatch):
         # the gate counts binnings, not the up to num_bins times more subsets
         src = rand_instance(rng, alphabet_size=2, dim=2)
         size = src.type.class_size()
         bins = next(b for b in (2, 3, 5) if size % b == 0)
         count = simulate._partition_count(size, bins)
         assert math.comb(size, size // bins) > count
-        assert d_pa_exact(src, bins, cap=count) == d_sc_exact(src, size // bins)
+        expected = d_sc_exact(src, size // bins)
+        monkeypatch.setattr(simulate, "EXACT_ENUMERATION_CAP", count)
+        assert d_pa_exact(src, bins) == expected
+        monkeypatch.setattr(simulate, "EXACT_ENUMERATION_CAP", count - 1)
         with pytest.raises(CapacityError):
-            d_pa_exact(src, bins, cap=count - 1)
+            d_pa_exact(src, bins)
 
 
 def burnside_orbit_count(counts, k):
@@ -372,10 +377,11 @@ class TestCappedCounts:
         assert simulate._partition_count(10**17, 10**17, 10**18) == 1
 
     def test_refusal_prints_long_counts_as_more_than_the_cap(self):
+        count = simulate._partition_count
         with pytest.raises(CapacityError, match="^488864376 regular binnings"):
-            simulate._bin_size(20, 4, simulate.EXACT_ENUMERATION_CAP)
+            simulate._counted_within("regular binnings", count, 20, 4)
         with pytest.raises(CapacityError, match="^more than 250000 regular binnings"):
-            simulate._bin_size(48_620, 2, simulate.EXACT_ENUMERATION_CAP)
+            simulate._counted_within("regular binnings", count, 48_620, 2)
 
     def test_class_refused_before_it_is_counted(self, rng, monkeypatch):
         states = tuple(random_density(rng, 2) for _ in range(2))
@@ -442,7 +448,7 @@ class TestOrbits:
         for _ in range(6):
             src = rand_instance(rng)
             size = src.type.class_size()
-            _, states, marginal = simulate._prepare(src, cap=100)
+            _, states, marginal = simulate._prepare(src)
             for m in range(1, size + 1):
                 stream = simulate._subset_distances(states, marginal, combinations(range(size), m))
                 plain = np.concatenate(list(stream))
@@ -523,7 +529,7 @@ class TestPooledUnbiasedness:
 def reference_pa(src, num_bins, trials, seed):
     """Per-trial loop: one stacked binning and one eigvalsh batch per trial."""
     k = src.type.class_size() // num_bins
-    _, states, marginal = simulate._prepare(src, cap=10**6)
+    _, states, marginal = simulate._prepare(src)
     values = []
     for i in range(trials):
         bins = simulate._draw_binning(substream(seed, i), num_bins, k)
@@ -535,7 +541,7 @@ def reference_pa(src, num_bins, trials, seed):
 def reference_sc(src, M, trials, seed):
     """Per-trial loop: one drawn codebook and one eigvalsh per trial."""
     size = src.type.class_size()
-    _, states, marginal = simulate._prepare(src, cap=10**6)
+    _, states, marginal = simulate._prepare(src)
     values = []
     for i in range(trials):
         sel = np.sort(simulate._draw_without_replacement(substream(seed, i), size, M))

@@ -273,7 +273,7 @@ class TestSimulateLeakage:
         ch = product_channel(bob, eve, [0.5, 0.5])
         t = TypeDistribution(n=4, counts=(2, 2))
         eve_src = ConstantTypeSource.from_states(eve_source(ch).states, t)
-        _, states, _ = simulate._prepare(eve_src, cap=100)
+        _, states, _ = simulate._prepare(eve_src)
         size = t.class_size()
         total = 0.0
         count = 0
