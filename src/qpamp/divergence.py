@@ -228,6 +228,7 @@ def _sweep_fixed_point(
     states: np.ndarray,
     prior: np.ndarray,
     alphas: np.ndarray,
+    start: np.ndarray,
     *,
     conditional: bool,
     tol: float,
@@ -237,11 +238,12 @@ def _sweep_fixed_point(
 
     For the Augustin mode the map averages the per-symbol normalized
     alpha-tilted states with weights p(x); for the conditional mode it sums
-    the raw tilted states with weights p(x)^alpha and normalizes once.  Each
-    alpha slice evolves independently and is frozen as soon as its update step
-    (operator norm of the change) drops below tol, so the sweep reproduces the
-    single-alpha iteration exactly.  A non-finite step (an iterate whose
-    sigma^c underflowed or overflowed) freezes its slice unconverged.
+    the raw tilted states with weights p(x)^alpha and normalizes once.  Every
+    alpha slice starts at the state ``start``, evolves independently and is
+    frozen as soon as its update step (operator norm of the change) drops
+    below tol, so the sweep reproduces the single-alpha iteration from the
+    same start exactly.  A non-finite step (an iterate whose sigma^c
+    underflowed or overflowed) freezes its slice unconverged.
 
     Returns (values, sigmas, iterations, final_steps, converged).
     """
@@ -250,8 +252,7 @@ def _sweep_fixed_point(
     dim = states.shape[-1]
     cexp = (1.0 - alphas) / (2.0 * alphas)
 
-    marginal = np.einsum("x,xij->ij", prior, states)
-    sigma = np.repeat(marginal[None, :, :], na, axis=0)
+    sigma = np.repeat(start[None, :, :], na, axis=0)
     active = np.ones(na, dtype=bool)
     iterations = np.zeros(na, dtype=int)
     steps = np.full(na, np.inf)
@@ -267,15 +268,17 @@ def _sweep_fixed_point(
         sig = sigma[idx]
 
         w, v, supp = _support_eigh(sig)
-        proj = np.einsum("aij,aj,akj->aik", v, supp.astype(float), v.conj())
-        leak = np.einsum("xij,aji->ax", states, eye[None] - proj).real.max(axis=1)
-        guard = leak > SUPPORT_LEAK_ATOL * 1e-2
-        if guard.any():
-            sig = sig.copy()
-            sig[guard] = (1.0 - SUPPORT_GUARD_EPS) * sig[guard] + (
-                SUPPORT_GUARD_EPS / dim
-            ) * eye
-            w, v, supp = _support_eigh(sig)
+        # on full support the kernel is empty and the leak is 0 (see _support_leak)
+        if not supp.all():
+            proj = np.einsum("aij,aj,akj->aik", v, supp.astype(float), v.conj())
+            leak = np.einsum("xij,aji->ax", states, eye[None] - proj).real.max(axis=1)
+            guard = leak > SUPPORT_LEAK_ATOL * 1e-2
+            if guard.any():
+                sig = sig.copy()
+                sig[guard] = (1.0 - SUPPORT_GUARD_EPS) * sig[guard] + (
+                    SUPPORT_GUARD_EPS / dim
+                ) * eye
+                w, v, supp = _support_eigh(sig)
 
         mu, u = np.linalg.eigh(_tilt(states, cexp[idx], w, v, supp))
         mu = np.clip(mu, 0.0, None)
@@ -344,13 +347,15 @@ def _result(values, sigmas, iterations, steps) -> AugustinResult:
     )
 
 
-def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter):
+def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, start=None):
     """Validate, run the fixed-point sweep, and raise if any order failed.
 
     ``alpha`` is one order (a scalar solve) or an array of them (a curve).
     The Augustin mode accepts orders in (0, 2], the conditional mode (1, 2].
     ``tol`` and ``max_iter`` are augustin_sandwiched's, or else the defaults.
-    The ConvergenceError of a scalar solve carries its AugustinResult as
+    Every order starts at the d_B x d_B state ``start``, by default the
+    source marginal; the public solvers and curves all start there.  The
+    ConvergenceError of a scalar solve carries its AugustinResult as
     ``best``; that of a curve carries the value array.  Returns (values,
     sigmas, iterations, final_steps).
     """
@@ -364,10 +369,12 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter):
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise InvalidParameterError(f"max_iter must be an integer >= 1, got {max_iter}")
     states, prior = _positive_part(src)
+    if start is None:
+        start = np.einsum("x,xij->ij", prior, states)
     # an underflowed iterate divides 0 by 0; its nan step fails the order below
     with np.errstate(divide="ignore", invalid="ignore"):
         values, sigmas, iters, steps, ok = _sweep_fixed_point(
-            states, prior, alphas, conditional=conditional, tol=tol, max_iter=max_iter
+            states, prior, alphas, start, conditional=conditional, tol=tol, max_iter=max_iter
         )
     if ok.all():
         return values, sigmas, iters, steps

@@ -13,20 +13,25 @@ the offset, plus its report's prefactor and meta.  ``_sup_over_alpha``, the
 one evaluator, grids the objective slightly inside the interval (the
 endpoints are singular in the prefactors) with one batched curve call,
 refines the best bracket by golden-section search on the same curve
-function and returns the ``ExponentReport``.  Each refinement call
-evaluates every point the next LOOKAHEAD golden steps may need, so it takes
-the same steps and returns the same floats as a search with one solve per
-step.  Exponents are in nats per symbol; negative values mean the bound is
-vacuous and are reported as-is.
+function and returns the ``ExponentReport``.  The grid's fixed-point solves
+start cold at the source marginal; every refinement solve of the same
+report starts at the grid optimizer of the best grid order, which has
+already converged next to the bracket and roughly halves the iterations.
+Each refinement call evaluates every point the next LOOKAHEAD golden steps
+may need, so it takes the same steps and returns the same floats as a
+search with one solve per step from that start.  Exponents are in nats per
+symbol; negative values mean the bound is vacuous and are reported as-is.
 
 The grid curve does not depend on the rate, so it is memoised: kinds and
 rates that share a source share one sweep.  The memo is keyed by a digest of
 the content (family, prior, states, grid), never by object identity, so a
-rebuilt equal source hits.  It holds read-only value arrays only, never an
-error, and evicts least-recently-used curves to stay within CURVE_MEMO_BYTES.
-No flag controls it.  Refinement points are not memoised.
-A divergence function replaced after a curve is cached (a tracer or a test
-double) is not called on a hit.
+rebuilt equal source hits.  Each entry holds read-only arrays: the grid
+values and, for the fixed-point families, the grid optimizers (one d_B x d_B
+state per order), so a hit refines from the same state as a miss.  It never
+holds an error, and evicts least-recently-used curves to stay within
+CURVE_MEMO_BYTES, which counts the optimizers too.  No flag controls it.
+Refinement points are not memoised.  A divergence function replaced after a
+curve is cached (a tracer or a test double) is not called on a hit.
 """
 
 from __future__ import annotations
@@ -78,59 +83,89 @@ class ExponentReport:
     meta: dict = field(default_factory=dict)
 
 
+class _Curve(NamedTuple):
+    """Q at each order, and the fixed-point optimizer there (None for petz-up)."""
+
+    values: np.ndarray
+    optimizers: np.ndarray | None
+
+
 class _Family(NamedTuple):
     """Open alpha interval of a curve Q, and Q over an array of orders.
 
-    ``curve`` is called as (source, alphas) for the grid and the refinement
-    alike.  Given one order it raises the ConvergenceError of the family's
-    single-point solve (``best`` an AugustinResult for the fixed-point rows).
+    ``curve`` is called as (source, alphas, start) for the grid and the
+    refinement alike and returns a ``_Curve``.  The fixed-point rows start
+    every order at the d_B x d_B state ``start``, or at the source marginal
+    when it is None; petz-up has a closed form and ignores it.  Given one
+    order it raises the ConvergenceError of the family's single-point solve
+    (``best`` an AugustinResult for the fixed-point rows).
     """
 
     lo: float
     hi: float
-    curve: Callable[[CQSource, np.ndarray], np.ndarray]
+    curve: Callable[[CQSource, np.ndarray, np.ndarray | None], _Curve]
+
+
+def _fixed_point_row(conditional: bool, sign: float):
+    """The curve of a fixed-point family, ``sign`` times the optimized value."""
+
+    def curve(src, alphas, start):
+        values, optimizers, _, _ = dv._fixed_point(
+            src, alphas, conditional, dv.DEFAULT_TOL, dv.DEFAULT_MAX_ITER, start
+        )
+        return _Curve(sign * values, optimizers)
+
+    return curve
 
 
 # The divergence functions are looked up when called, so code that replaces
 # one of them (a tracer, a test double) sees every call made from here, except
 # grid curves the memo already holds.  Every curve computes each order on its
 # own (the fixed-point sweep freezes each order as it converges), so a batch
-# of orders gives the same floats as one order at a time, and a memoised grid
-# curve the same floats as a fresh one.
+# of orders gives the same floats as one order at a time from the same start,
+# and a memoised grid curve the same floats as a fresh one.  The grid starts
+# cold at the marginal; the refinement starts at the grid optimizer of the
+# best grid order, which the memo keeps, so a hit refines from the same state
+# as a miss.
 _FAMILIES = {
-    "augustin": _Family(1.0, 2.0, lambda src, a: dv.augustin_sandwiched_curve(src, a)),
-    "petz-up": _Family(0.5, 1.0, lambda src, a: dv.augustin_petz_up_curve(src, 2.0 - 1.0 / a)),
-    "neg-conditional": _Family(
-        1.0, 2.0, lambda src, a: -dv.conditional_renyi_sandwiched_curve(src, a)
+    "augustin": _Family(1.0, 2.0, _fixed_point_row(False, 1.0)),
+    "petz-up": _Family(
+        0.5, 1.0,
+        lambda src, a, start: _Curve(dv.augustin_petz_up_curve(src, 2.0 - 1.0 / a), None),
     ),
+    "neg-conditional": _Family(1.0, 2.0, _fixed_point_row(True, -1.0)),
 }
+
+
+def _memo_bytes(key: bytes, curve: _Curve) -> int:
+    """What a memo entry holds: its key, values and optimizer stack."""
+    return sys.getsizeof(key) + sum(sys.getsizeof(a) for a in curve if a is not None)
 
 
 class _CurveMemo:
     """Least-recently-used grid curves under a digest of their inputs."""
 
     def __init__(self):
-        self._curves: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._curves: OrderedDict[bytes, _Curve] = OrderedDict()
         self._lock = threading.Lock()
         self.nbytes = 0
 
-    def get(self, key: bytes) -> np.ndarray | None:
+    def get(self, key: bytes) -> _Curve | None:
         with self._lock:
             curve = self._curves.get(key)
             if curve is not None:
                 self._curves.move_to_end(key)
             return curve
 
-    def put(self, key: bytes, curve: np.ndarray) -> None:
-        size = sys.getsizeof(key) + sys.getsizeof(curve)
+    def put(self, key: bytes, curve: _Curve) -> None:
+        size = _memo_bytes(key, curve)
         with self._lock:
             if size > CURVE_MEMO_BYTES or key in self._curves:
                 return
             self._curves[key] = curve
             self.nbytes += size
             while self.nbytes > CURVE_MEMO_BYTES:
-                old_key, old = self._curves.popitem(last=False)
-                self.nbytes -= sys.getsizeof(old_key) + sys.getsizeof(old)
+                self.nbytes -= _memo_bytes(*self._curves.popitem(last=False))
 
     def clear(self) -> None:
         with self._lock:
@@ -141,8 +176,12 @@ class _CurveMemo:
 _CURVES = _CurveMemo()
 
 
-def _grid_curve(src: CQSource, family: str, alphas: np.ndarray) -> np.ndarray:
-    """The family's curve over the grid ``alphas``, computed once per content."""
+def _grid_curve(src: CQSource, family: str, alphas: np.ndarray) -> _Curve:
+    """The family's cold-started curve over the grid ``alphas``, computed once per content.
+
+    Both arrays are read-only copies that own their memory, so the memo
+    counts every byte it holds.
+    """
     digest = hashlib.sha256(family.encode())
     for part in (src.prior, src.state_stack(), alphas):
         digest.update(repr((part.dtype.str, part.shape)).encode())
@@ -150,10 +189,17 @@ def _grid_curve(src: CQSource, family: str, alphas: np.ndarray) -> np.ndarray:
     key = digest.digest()
     curve = _CURVES.get(key)
     if curve is None:
-        curve = np.array(_FAMILIES[family].curve(src, alphas))
-        curve.setflags(write=False)
+        curve = _Curve(*map(_read_only_copy, _FAMILIES[family].curve(src, alphas, None)))
         _CURVES.put(key, curve)
     return curve
+
+
+def _read_only_copy(a: np.ndarray | None) -> np.ndarray | None:
+    if a is None:
+        return None
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
 
 
 def _check_rate(rate: float) -> None:
@@ -247,7 +293,9 @@ def _sup_over_alpha(
     an objective without one keeps the sign of a zero.  Grids
     [lo+margin, hi-margin], then refines the best bracket.  Returns the
     ExponentReport of the supremum, its alpha, the grid curve and the given
-    ``prefactor_log`` and ``meta``.
+    ``prefactor_log`` and ``meta``.  Every refinement solve of a fixed-point
+    family starts at the grid optimizer of the best grid order, so each
+    refined value depends on its order and that one state only.
     """
     if points < 2:
         raise InvalidParameterError(f"points must be >= 2, got {points}")
@@ -264,11 +312,13 @@ def _sup_over_alpha(
         return offset + (1.0 - a) / a * q
 
     alphas = np.linspace(fam.lo + ALPHA_MARGIN, fam.hi - ALPHA_MARGIN, points)
-    vals = objective(_grid_curve(src, family, alphas), alphas)
+    grid = _grid_curve(src, family, alphas)
+    vals = objective(grid.values, alphas)
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
+    start = None if grid.optimizers is None else grid.optimizers[i]
     ra, rv = _golden_max(
-        lambda a: objective(fam.curve(src, a), a),
+        lambda a: objective(fam.curve(src, a, start).values, a),
         float(alphas[max(i - 1, 0)]),
         float(alphas[min(i + 1, points - 1)]),
     )
@@ -284,11 +334,12 @@ def _entropy_term(src: CQSource, n: int | None, finite_n: bool) -> tuple[float, 
         return dv.shannon_entropy(src.prior), "H(p)"
     if n is None:
         raise InvalidParameterError("finite-n exponent form requires a blocklength n")
-    counts_f = src.prior * n
-    counts = np.rint(counts_f).astype(int)
-    if np.max(np.abs(counts_f - counts)) > 1e-9 or counts.sum() != n:
+    # Python integers: an int64 sum of the counts wraps past 9.2e18
+    counts_f = [float(c) for c in src.prior * n]
+    counts = tuple(round(c) for c in counts_f)
+    if max(abs(c - k) for c, k in zip(counts_f, counts)) > 1e-9 or sum(counts) != n:
         raise InvalidInputError(f"prior {src.prior} is not an n-type at n={n}")
-    t = TypeDistribution(n=n, counts=tuple(int(c) for c in counts))
+    t = TypeDistribution(n=n, counts=counts)
     return type_class_log_size(t) / n, "log|T|/n"
 
 

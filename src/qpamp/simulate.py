@@ -117,11 +117,18 @@ def _sequence_state_stack(src: ConstantTypeSource, domain) -> np.ndarray:
             f"{_STATE_STACK_BYTES_CAP >> 30} GiB state-stack ceiling"
         )
     out = np.empty((len(domain), dim_total, dim_total), dtype=complex)
+    # partial[j] is the product over the first j+1 positions of the previous
+    # sequence; lexicographic neighbours share most of it, and each product is
+    # the same chain of kron calls as a fresh one
+    partial, last = [], ()
     for i, seq in enumerate(domain):
-        acc = singles[seq[0]]
-        for x in seq[1:]:
-            acc = np.kron(acc, singles[x])
-        out[i] = acc
+        keep = 0
+        while keep < len(partial) and seq[keep] == last[keep]:
+            keep += 1
+        del partial[keep:]
+        for x in seq[keep:]:
+            partial.append(np.kron(partial[-1], singles[x]) if partial else singles[x])
+        out[i], last = partial[-1], seq
     return out
 
 
@@ -226,12 +233,15 @@ def _subset_orbits(domain: Sequence[tuple[int, ...]], k: int) -> tuple[np.ndarra
         for i in range(n - 1)
     ]
     # lex rank of a sorted row b: total-1 - sum_j C(c_j, j+1), c = (size-1-b) ascending;
-    # the terms used are at most `total`, so clipping keeps int64 exact
-    binom = np.zeros((size, k + 1), dtype=np.int64)
-    binom[:, 0] = 1
+    # j <= c_j <= size-k+j, so only the band band[c-j, j] = C(c, j+1) is held, at most
+    # C(size-1, k) <= total each: (size-k+1) * k entries, not size * (k+1)
+    band = np.empty((size - k + 1, k + 1), dtype=np.int64)
+    band[:, 0] = 1
+    band[0, 0] = 0
     for m in range(1, k + 1):
-        np.minimum(np.cumsum(binom[:-1, m - 1]), total, out=binom[1:, m])
-    cols = np.arange(1, k + 1)
+        np.cumsum(band[:, m - 1], out=band[:, m])
+    band = band[:, 1:]
+    cols = np.arange(k)
     # int32 ranks: the byte ceiling and the direct-leakage cap keep C(|T|, k) below 2**28
     images = np.empty((len(swaps), total), dtype=np.int32)
     combos, lo = combinations(range(size), k), 0
@@ -242,7 +252,7 @@ def _subset_orbits(domain: Sequence[tuple[int, ...]], k: int) -> tuple[np.ndarra
             moved = perm[rows]
             moved.sort(axis=1)
             c = size - 1 - moved[:, ::-1]
-            img[lo : lo + len(rows)] = total - 1 - binom[c, cols].sum(axis=1)
+            img[lo : lo + len(rows)] = total - 1 - band[c - cols, cols].sum(axis=1)
         lo += len(rows)
     labels = np.arange(total)
     while True:

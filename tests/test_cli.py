@@ -129,6 +129,15 @@ class TestExponent:
         code, _, err = run(capsys, ["exponent", SOURCE, "--kind", "iid", "--rate", "0.1"])
         assert code == 1
 
+    def test_finite_n_past_the_int64_range(self, capsys):
+        # the counts 5e18 + 5e18 sum past 2**63 - 1; they are checked as Python integers
+        argv = ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1", "--points", "50"]
+        finite = run_json(capsys, argv + ["--n", "1" + "0" * 19, "--finite-n"])["result"]
+        assert finite["meta"]["entropy_term"] == "log|T|/n"
+        asymptotic = run_json(capsys, argv)["result"]
+        # log|T|/n is H(p) - O(log(n)/n), about 2e-18 below it
+        assert finite["exponent"] == pytest.approx(asymptotic["exponent"], rel=0.0, abs=1e-12)
+
     def test_all_kinds_run(self, capsys):
         for kind in ("pa-direct", "pa-converse", "sc-direct", "sc-converse", "dupuis"):
             doc = run_json(
@@ -269,6 +278,17 @@ class TestSimulate:
         assert out.stdout == ""
         assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
         assert len(out.stderr) < 200 and "Traceback" not in out.stderr
+
+    def test_one_codebook_of_a_large_class_runs_in_bounded_memory(self, tmp_path):
+        # M = |T| = 48,620 passes every cap; the orbit ranks hold (|T|-M+1) x M
+        # binomials, not the 17.6 GiB |T| x (M+1) table
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"prior": [0.5, 0.5], "states": [[[[1, 0]]]] * 2}))
+        limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        out = run_python(limit + CLI_MAIN, "simulate", str(flat), "--task", "sc", "--exact",
+                         "--type", "9,9", "--M", "48620", timeout=30)
+        assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+        assert json.loads(out.stdout)["result"] == {"value": 0.0}
 
     def test_long_one_dimensional_class_runs(self, capsys, tmp_path):
         # 1,500 positions: the type class is enumerated without recursion

@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -406,7 +408,9 @@ class TestValidation:
             fam = exponent._FAMILIES[family]
             monkeypatch.setitem(
                 exponent._FAMILIES, family,
-                fam._replace(curve=lambda s, a, c=fam.curve: calls.append(a) or c(s, a)),
+                fam._replace(
+                    curve=lambda s, a, start, c=fam.curve: calls.append(a) or c(s, a, start)
+                ),
             )
         for call in kinds:
             with pytest.raises(CapacityError, match="alpha-grid ceiling"):
@@ -422,11 +426,17 @@ class TestValidation:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: each curve family at one order, one solve per call
+
+def _solve(src, a, conditional, start):
+    """One fixed-point order started at ``start`` (None: the marginal)."""
+    return dv._fixed_point(src, a, conditional, dv.DEFAULT_TOL, dv.DEFAULT_MAX_ITER, start)[0][0]
+
+
+#: each curve family at one order from a given start, one solve per call
 _POINT = {
-    "augustin": lambda src, a: dv.augustin_sandwiched(src, a).value,
-    "petz-up": lambda src, a: petz_up_by_symbol(src, 2.0 - 1.0 / a),
-    "neg-conditional": lambda src, a: -dv.conditional_renyi_sandwiched(src, a),
+    "augustin": lambda src, a, start: _solve(src, a, False, start),
+    "petz-up": lambda src, a, start: petz_up_by_symbol(src, 2.0 - 1.0 / a),
+    "neg-conditional": lambda src, a, start: -_solve(src, a, True, start),
 }
 
 
@@ -455,8 +465,12 @@ def sequential_golden(fn, lo, hi, visited=None):
 
 
 def sequential_sup(src, family, shift, *, prefactor_log=0.0, meta=None, offset=-0.0,
-                   points=exponent.GRID_POINTS, visited=None):
-    """The sup over alpha with its refinement on single-point solves."""
+                   points=exponent.GRID_POINTS, visited=None, warm=True):
+    """The sup over alpha with its refinement on single-point solves.
+
+    Each solve starts at the grid optimizer of the best grid order, or with
+    ``warm=False`` at the source marginal.
+    """
     fam = exponent._FAMILIES[family]
 
     def objective(q, a):
@@ -465,11 +479,13 @@ def sequential_sup(src, family, shift, *, prefactor_log=0.0, meta=None, offset=-
         return offset + (1.0 - a) / a * q
 
     alphas = np.linspace(fam.lo + exponent.ALPHA_MARGIN, fam.hi - exponent.ALPHA_MARGIN, points)
-    vals = objective(fam.curve(src, alphas), alphas)
+    grid = fam.curve(src, alphas, None)
+    vals = objective(grid.values, alphas)
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
+    start = grid.optimizers[i] if warm and grid.optimizers is not None else None
     ra, rv = sequential_golden(
-        lambda a: objective(_POINT[family](src, a), a),
+        lambda a: objective(_POINT[family](src, a, start), a),
         float(alphas[max(i - 1, 0)]),
         float(alphas[min(i + 1, points - 1)]),
         visited,
@@ -509,6 +525,33 @@ def _all_kinds(inst, ch, monkeypatch):
 
 
 class TestSpeculativeRefinement:
+    @pytest.mark.parametrize("lookahead", [1, 2, 5])
+    def test_lookahead_is_float_neutral(self, monkeypatch, rng, lookahead):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        kinds = (
+            lambda: exponent.pa_achievability_exponent(src, 0.1),
+            lambda: exponent.dupuis_exponent(src, 0.1),
+            lambda: exponent.sc_converse_exponent(src, 0.1),
+        )
+        ref = [kind() for kind in kinds]
+        monkeypatch.setattr(exponent, "LOOKAHEAD", lookahead)
+        assert [kind() for kind in kinds] == ref
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_agrees_with_a_cold_refinement(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        inst = rand_instance(rng, alphabet_size=2 + seed % 2)
+        kinds = _all_kinds(inst, _random_channel(rng), monkeypatch)
+        cold_sup = functools.partial(sequential_sup, warm=False)
+        with monkeypatch.context() as m:
+            m.setattr(exponent, "_sup_over_alpha", cold_sup)
+            m.setattr(wiretap, "_sup_over_alpha", cold_sup)
+            cold = {k: fn() for k, fn in kinds.items()}
+        for k, fn in kinds.items():
+            got, ref = fn(), cold[k]
+            assert got.exponent == pytest.approx(ref.exponent, rel=0.0, abs=1e-12), k
+            assert got.curve == ref.curve, k
+
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_identical_to_sequential_refinement(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
@@ -528,17 +571,15 @@ class TestSpeculativeRefinement:
     def test_batch_count(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2, mix=0.1)
         sizes = []
-        curve = dv.augustin_sandwiched_curve
+        fixed_point = dv._fixed_point
 
         def counting(src, alphas, *args):
+            if np.ndim(alphas) == 0:
+                raise AssertionError("refinement made a single-point solve")
             sizes.append(np.size(alphas))
-            return curve(src, alphas, *args)
+            return fixed_point(src, alphas, *args)
 
-        def scalar(*args):
-            raise AssertionError("refinement made a single-point solve")
-
-        monkeypatch.setattr(dv, "augustin_sandwiched_curve", counting)
-        monkeypatch.setattr(dv, "augustin_sandwiched", scalar)
+        monkeypatch.setattr(dv, "_fixed_point", counting)
         exponent.pa_achievability_exponent(src, 0.1)
         assert sizes[0] == exponent.GRID_POINTS
         assert 1 <= len(sizes) - 1 <= 12
@@ -548,10 +589,10 @@ class TestSpeculativeRefinement:
         assert sizes == refinement  # the grid curve comes from the memo
 
     def _stub_family(self, monkeypatch, fam, fail_at):
-        def curve(src, alphas):
+        def curve(src, alphas, start):
             if fail_at in np.atleast_1d(alphas):
                 raise ConvergenceError(f"stub failure at {fail_at}")
-            return fam.curve(src, alphas)
+            return fam.curve(src, alphas, start)
 
         monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(curve=curve))
 
@@ -563,9 +604,9 @@ class TestSpeculativeRefinement:
         evaluated = []
         fam = exponent._FAMILIES["augustin"]
 
-        def recording(src, alphas):
+        def recording(src, alphas, start):
             evaluated.extend(np.atleast_1d(alphas))
-            return fam.curve(src, alphas)
+            return fam.curve(src, alphas, start)
 
         monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(curve=recording))
         assert exponent.sc_achievability_exponent(src, 0.2) == ref
@@ -600,7 +641,7 @@ class TestSpeculativeRefinement:
         with pytest.raises(ConvergenceError) as scalar:
             solve(src, 1.5, *args)
         with pytest.raises(ConvergenceError) as refine:
-            exponent._FAMILIES[family].curve(src, 1.5)
+            exponent._FAMILIES[family].curve(src, 1.5, None)
         assert str(refine.value) == str(scalar.value)
         assert isinstance(refine.value.best, dv.AugustinResult)
         assert refine.value.best.iterations == 2
@@ -608,24 +649,27 @@ class TestSpeculativeRefinement:
 
 # -- grid-curve memo -------------------------------------------------------------
 
-#: the function behind each family's curve, on the grid and in refinement
-_GRID_FUNCTIONS = {
-    "augustin": "augustin_sandwiched_curve",
-    "petz-up": "augustin_petz_up_curve",
-    "neg-conditional": "conditional_renyi_sandwiched_curve",
-}
-
-
 def _count_grid_calls(monkeypatch, points=exponent.GRID_POINTS):
-    """Count, per family, the curve calls over ``points`` orders."""
-    counts = dict.fromkeys(_GRID_FUNCTIONS, 0)
-    for family, name in _GRID_FUNCTIONS.items():
-        def counting(src, alphas, *args, _family=family, _fn=getattr(dv, name)):
-            if np.size(alphas) == points:
-                counts[_family] += 1
-            return _fn(src, alphas, *args)
+    """Count, per family, the curve calls over ``points`` orders.
 
-        monkeypatch.setattr(dv, name, counting)
+    The fixed-point rows call ``divergence._fixed_point`` (``conditional``
+    tells them apart), petz-up calls ``augustin_petz_up_curve``.
+    """
+    counts = dict.fromkeys(exponent._FAMILIES, 0)
+    fixed_point, petz_up = dv._fixed_point, dv.augustin_petz_up_curve
+
+    def counting_fixed_point(src, alphas, conditional, *args):
+        if np.size(alphas) == points:
+            counts["neg-conditional" if conditional else "augustin"] += 1
+        return fixed_point(src, alphas, conditional, *args)
+
+    def counting_petz_up(src, alphas):
+        if np.size(alphas) == points:
+            counts["petz-up"] += 1
+        return petz_up(src, alphas)
+
+    monkeypatch.setattr(dv, "_fixed_point", counting_fixed_point)
+    monkeypatch.setattr(dv, "augustin_petz_up_curve", counting_petz_up)
     return counts
 
 
@@ -663,7 +707,7 @@ class TestCurveCache:
             exponent.pa_achievability_exponent(src, rate, n=n, finite_n=True)
             exponent.pa_strong_converse_exponent(src, rate, n=n)
             exponent.dupuis_exponent(src, rate)
-        assert counts == dict.fromkeys(_GRID_FUNCTIONS, 1)
+        assert counts == dict.fromkeys(exponent._FAMILIES, 1)
 
     def test_key_is_content(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2, mix=0.1)
@@ -714,4 +758,49 @@ class TestCurveCache:
         exponent.dupuis_exponent(src, 0.1)
         (curve,) = exponent._CURVES._curves.values()
         with pytest.raises(ValueError):
-            curve[0] = 0.0
+            curve.values[0] = 0.0
+        with pytest.raises(ValueError):
+            curve.optimizers[0] = 0.0
+
+    def test_memo_counts_the_optimizer_stack(self, rng):
+        memo = exponent._CURVES
+        src = rand_source(rng, 3, 3, mix=0.1)
+        exponent.sc_achievability_exponent(src, 0.1)
+        ((key, curve),) = memo._curves.items()
+        assert curve.optimizers.shape == (exponent.GRID_POINTS, 3, 3)
+        assert curve.values.base is None and curve.optimizers.base is None  # own their bytes
+        assert memo.nbytes == sys.getsizeof(key) + sys.getsizeof(curve.values) + sys.getsizeof(
+            curve.optimizers
+        )
+        assert memo.nbytes > curve.values.nbytes + curve.optimizers.nbytes
+        # petz-up has no optimizer: its entry holds the values only
+        memo.clear()
+        exponent.sc_converse_exponent(src, 0.1)
+        ((key, curve),) = memo._curves.items()
+        assert curve.optimizers is None
+        assert memo.nbytes == sys.getsizeof(key) + sys.getsizeof(curve.values)
+
+    @pytest.mark.parametrize("family", ["augustin", "neg-conditional"])
+    def test_hit_and_miss_refine_from_one_state(self, monkeypatch, rng, family):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        fam = exponent._FAMILIES[family]
+        starts = []
+
+        def recording(src, alphas, start):
+            starts.append(None if start is None else start.tobytes())
+            return fam.curve(src, alphas, start)
+
+        monkeypatch.setitem(exponent._FAMILIES, family, fam._replace(curve=recording))
+        run = {
+            "augustin": lambda: exponent.pa_achievability_exponent(src, 0.1),
+            "neg-conditional": lambda: exponent.dupuis_exponent(src, 0.1),
+        }[family]
+        miss = run()
+        miss_starts = starts[:]
+        (curve,) = exponent._CURVES._curves.values()
+        hit = run()
+        assert hit == miss
+        assert miss_starts[0] is None  # the grid starts cold
+        refine = set(miss_starts[1:])
+        assert len(refine) == 1 and refine <= {s.tobytes() for s in curve.optimizers}
+        assert starts[len(miss_starts):] == miss_starts[1:]  # the hit refines alike
