@@ -196,6 +196,10 @@ def cmd_exponent(args) -> dict:
     args._digest = digest
     kind = args.kind
     exponent._check_n(args.n)  # also for dupuis, which takes no n
+    if args.finite_n and kind not in ("pa-direct", "pa-converse"):
+        raise InvalidParameterError(
+            f"--finite-n applies to --kind pa-direct and pa-converse only, not {kind}"
+        )
     _check_curve_out(args.curve_out)
     kw = dict(points=args.points)
     if kind == "pa-direct":
@@ -207,7 +211,7 @@ def cmd_exponent(args) -> dict:
             src, args.rate, n=args.n, finite_n=args.finite_n, **kw
         )
     elif kind == "sc-direct":
-        rep = exponent.sc_achievability_exponent(src, args.rate, n=args.n, **kw)
+        rep = exponent.sc_achievability_exponent(src, args.rate, **kw)
     elif kind == "sc-converse":
         rep = exponent.sc_converse_exponent(src, args.rate, n=args.n, **kw)
     elif kind == "dupuis":
@@ -335,7 +339,10 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--rate", type=float, required=True, help="rate R in nats/symbol")
     p.add_argument("--n", type=int, default=None, help="blocklength for prefactors / finite-n form")
-    p.add_argument("--finite-n", action="store_true", help="use exact log|T^n_p| instead of H(p)")
+    p.add_argument(
+        "--finite-n", action="store_true",
+        help="use exact log|T^n_p| instead of H(p) (pa-direct and pa-converse only)",
+    )
     p.add_argument("--points", type=int, default=exponent.GRID_POINTS)
     p.add_argument("--curve-out", default=None, help="write the alpha sweep to this CSV file")
     common(p)

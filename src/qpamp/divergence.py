@@ -408,11 +408,6 @@ def augustin_sandwiched(
     return _result(*_fixed_point(src, alpha, False, tol, max_iter))
 
 
-def augustin_petz_up(src: CQSource, alpha: float) -> float:
-    """Petz-type Augustin-like quantity at one order; see augustin_petz_up_curve."""
-    return float(augustin_petz_up_curve(src, alpha))
-
-
 def conditional_renyi_sandwiched(src: CQSource, alpha: float) -> float:
     """Sandwiched conditional Renyi entropy H*_alpha(X|B) for alpha in (1, 2].
 

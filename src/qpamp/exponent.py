@@ -31,7 +31,9 @@ state per order), so a hit refines from the same state as a miss.  It never
 holds an error, and evicts least-recently-used curves to stay within
 CURVE_MEMO_BYTES, which counts the optimizers too.  No flag controls it.
 Refinement points are not memoised.  A divergence function replaced after a
-curve is cached (a tracer or a test double) is not called on a hit.
+curve is cached (a tracer or a test double) is not called on a hit.  Every
+exponent shares this one memo, which holds no lock: do not call exponents
+from several threads at once.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import hashlib
 import math
 import numbers
 import sys
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -143,34 +144,30 @@ def _memo_bytes(key: bytes, curve: _Curve) -> int:
 
 
 class _CurveMemo:
-    """Least-recently-used grid curves under a digest of their inputs."""
+    """Least-recently-used grid curves under a digest of their inputs; unlocked."""
 
     def __init__(self):
         self._curves: OrderedDict[bytes, _Curve] = OrderedDict()
-        self._lock = threading.Lock()
         self.nbytes = 0
 
     def get(self, key: bytes) -> _Curve | None:
-        with self._lock:
-            curve = self._curves.get(key)
-            if curve is not None:
-                self._curves.move_to_end(key)
-            return curve
+        curve = self._curves.get(key)
+        if curve is not None:
+            self._curves.move_to_end(key)
+        return curve
 
     def put(self, key: bytes, curve: _Curve) -> None:
         size = _memo_bytes(key, curve)
-        with self._lock:
-            if size > CURVE_MEMO_BYTES or key in self._curves:
-                return
-            self._curves[key] = curve
-            self.nbytes += size
-            while self.nbytes > CURVE_MEMO_BYTES:
-                self.nbytes -= _memo_bytes(*self._curves.popitem(last=False))
+        if size > CURVE_MEMO_BYTES or key in self._curves:
+            return
+        self._curves[key] = curve
+        self.nbytes += size
+        while self.nbytes > CURVE_MEMO_BYTES:
+            self.nbytes -= _memo_bytes(*self._curves.popitem(last=False))
 
     def clear(self) -> None:
-        with self._lock:
-            self._curves.clear()
-            self.nbytes = 0
+        self._curves.clear()
+        self.nbytes = 0
 
 
 _CURVES = _CurveMemo()
@@ -347,7 +344,6 @@ def sc_achievability_exponent(
     src: CQSource,
     rate: float,
     *,
-    n: int | None = None,
     points: int = GRID_POINTS,
 ) -> ExponentReport:
     """Soft-covering achievability exponent at codebook rate R (nats/symbol).
@@ -358,7 +354,6 @@ def sc_achievability_exponent(
     quantum mutual information.
     """
     _check_rate(rate)
-    _check_n(n)
     return _sup_over_alpha(
         src, "augustin", (rate,), points=points, prefactor_log=0.0,
         meta={
@@ -477,18 +472,6 @@ def pa_strong_converse_exponent(
 def conditional_entropy_limit(src: CQSource) -> float:
     """H(X|B) = H(p) - I(X:B): the maximal extractable randomness rate."""
     return dv.shannon_entropy(src.prior) - dv.holevo_mutual_info(src)
-
-
-def constant_type_advantage(src: CQSource, alpha: float) -> float:
-    """(H(p) - I_aug*(alpha)) - H*_alpha(X|B), nonnegative for alpha > 1.
-
-    This is the margin by which the constant-type exponent bracket dominates
-    the conditional-Renyi-entropy bracket at the same order.
-    """
-    hp = dv.shannon_entropy(src.prior)
-    aug = dv.augustin_sandwiched(src, alpha).value
-    cond = dv.conditional_renyi_sandwiched(src, alpha)
-    return (hp - aug) - cond
 
 
 def dupuis_exponent(

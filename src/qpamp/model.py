@@ -246,23 +246,6 @@ def enumerate_n_types(
     return out
 
 
-def type_log_probability(p: Sequence[float], t: TypeDistribution) -> float:
-    """log of the i.i.d. probability p^(x n)(T^n_q) in nats (<= 0).
-
-    Equals log|T^n_q| + sum_x counts(x) log p(x); -inf when some symbol with
-    positive count has zero prior probability.
-    """
-    prob = np.asarray(p, dtype=float)
-    if prob.ndim != 1 or prob.size != t.alphabet_size:
-        raise InvalidInputError("probability vector length does not match the type")
-    counts = np.asarray(t.counts, dtype=float)
-    if np.any((counts > 0) & (prob <= 0.0)):
-        return float("-inf")
-    with np.errstate(divide="ignore"):
-        logs = np.where(counts > 0, np.log(np.where(prob > 0, prob, 1.0)), 0.0)
-    return float(type_class_log_size(t) + np.sum(counts * logs))
-
-
 # -- JSON wire format ---------------------------------------------------------
 # Source schema: { "alphabet": ["a", ...], "prior": [...], "states": [matrix, ...] }
 

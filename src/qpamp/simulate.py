@@ -232,21 +232,26 @@ def _subset_orbits(domain: Sequence[tuple[int, ...]], k: int) -> tuple[np.ndarra
         np.array([position[s[:i] + (s[i + 1], s[i]) + s[i + 2 :]] for s in domain])
         for i in range(n - 1)
     ]
+    # complement commutes with S_n, and the k-subset of rank r is the complement of the
+    # (size-k)-subset of rank total-1-r, so above size/2 the m = size-k subsets are
+    # ranked instead; k = size ranks its one subset, as its complement is empty
+    flip = 0 < size - k < k
+    m = size - k if flip else k
     # lex rank of a sorted row b: total-1 - sum_j C(c_j, j+1), c = (size-1-b) ascending;
-    # j <= c_j <= size-k+j, so only the band band[c-j, j] = C(c, j+1) is held, at most
-    # C(size-1, k) <= total each: (size-k+1) * k entries, not size * (k+1)
-    band = np.empty((size - k + 1, k + 1), dtype=np.int64)
+    # j <= c_j <= size-m+j, so only the band band[c-j, j] = C(c, j+1) is held, at most
+    # C(size-1, m) <= total each: (size-m+1) * m entries, not size * (m+1)
+    band = np.empty((size - m + 1, m + 1), dtype=np.int64)
     band[:, 0] = 1
     band[0, 0] = 0
-    for m in range(1, k + 1):
-        np.cumsum(band[:, m - 1], out=band[:, m])
+    for j in range(1, m + 1):
+        np.cumsum(band[:, j - 1], out=band[:, j])
     band = band[:, 1:]
-    cols = np.arange(k)
+    cols = np.arange(m)
     # int32 ranks: the byte ceiling and the direct-leakage cap keep C(|T|, k) below 2**28
     images = np.empty((len(swaps), total), dtype=np.int32)
-    combos, lo = combinations(range(size), k), 0
+    combos, lo = combinations(range(size), m), 0
     # small chunks keep the transient index arrays near 128 KB each
-    while rows := list(islice(combos, max(1, (1 << 14) // k))):
+    while rows := list(islice(combos, max(1, (1 << 14) // m))):
         rows = np.array(rows)
         for img, perm in zip(images, swaps):
             moved = perm[rows]
@@ -254,6 +259,9 @@ def _subset_orbits(domain: Sequence[tuple[int, ...]], k: int) -> tuple[np.ndarra
             c = size - 1 - moved[:, ::-1]
             img[lo : lo + len(rows)] = total - 1 - band[c - cols, cols].sum(axis=1)
         lo += len(rows)
+    if flip:
+        np.subtract(total - 1, images, out=images)
+        images = images[:, ::-1]
     labels = np.arange(total)
     while True:
         prev = labels.copy()
@@ -263,8 +271,14 @@ def _subset_orbits(domain: Sequence[tuple[int, ...]], k: int) -> tuple[np.ndarra
         if np.array_equal(labels, prev):
             break
     is_rep = labels == np.arange(total)
-    reps = np.array(list(compress(combinations(range(size), k), is_rep)))
-    return reps, np.bincount(labels, minlength=total)[is_rep]
+    sizes = np.bincount(labels, minlength=total)[is_rep]
+    if not flip:
+        return np.array(list(compress(combinations(range(size), k), is_rep))), sizes
+    # each representative is the complement of an m-subset, listed in reverse
+    kept = np.array(list(compress(combinations(range(size), m), is_rep[::-1])))[::-1]
+    mask = np.ones((len(kept), size), dtype=bool)
+    mask[np.arange(len(kept))[:, None], kept] = False
+    return np.nonzero(mask)[1].reshape(len(kept), k), sizes
 
 
 def _subset_distances(

@@ -361,7 +361,7 @@ class TestOutputSchema:
     def test_every_command_output_validates(self, capsys):
         import jsonschema
 
-        from qpamp.schemas import document_schema
+        from output_schemas import document_schema
 
         for argv in self.COMMANDS:
             doc = run_json(capsys, argv)
@@ -426,6 +426,8 @@ class TestErrors:
              "--threads", "0"],
             # a writable path, but --threshold has no curve to write
             ["wiretap", CHANNEL, "--threshold", "--curve-out", os.path.join(DATA, "curve.csv")],
+            # only the PA kinds have a finite-n form
+            ["exponent", SOURCE, "--kind", "sc-direct", "--rate", "0.1", "--n", "4", "--finite-n"],
         ],
     )
     def test_bad_parameter_exits_1_with_message(self, capsys, argv):

@@ -256,20 +256,6 @@ class TestConditionalEntropyLimit:
         )
 
 
-class TestConstantTypeAdvantage:
-    def test_equal_states_uniform_prior(self, rng):
-        # both sides coincide when the states are equal and the prior uniform
-        rho = random_density(rng, 2)
-        src = CQSource(prior=np.array([0.5, 0.5]), states=(rho, rho))
-        assert exponent.constant_type_advantage(src, 1.5) == pytest.approx(0.0, abs=1e-8)
-
-    def test_random_sweep_nonnegative(self, rng):
-        for _ in range(10):
-            src = rand_source(rng, 2, 2, mix=0.05)
-            for a in (1.1, 1.5, 1.9):
-                assert exponent.constant_type_advantage(src, a) >= -1e-9
-
-
 class TestDupuis:
     def test_trivial_states_uniform_prior(self, rng):
         # equal states, uniform prior: H*_a = log K for all a

@@ -18,7 +18,6 @@ from qpamp.model import (
     source_from_json,
     source_to_json,
     type_class_log_size,
-    type_log_probability,
 )
 from qpamp.qmat import random_density
 
@@ -160,40 +159,6 @@ class TestLogFactorial:
     def test_small_values_are_exact_logs(self):
         for k in range(12):
             assert _log_factorial(k) == math.log(math.factorial(k))
-
-
-class TestTypeProbability:
-    def test_point_mass(self):
-        t = TypeDistribution(n=5, counts=(5, 0))
-        assert type_log_probability([1.0, 0.0], t) == pytest.approx(0.0, abs=1e-12)
-
-    def test_uniform_binary_examples(self):
-        t = TypeDistribution(n=2, counts=(1, 1))
-        assert type_log_probability([0.5, 0.5], t) == pytest.approx(math.log(0.5))
-        t2 = TypeDistribution(n=2, counts=(2, 0))
-        assert type_log_probability([0.5, 0.5], t2) == pytest.approx(math.log(0.25))
-
-    def test_zero_support_sentinel(self):
-        t = TypeDistribution(n=2, counts=(1, 1))
-        assert type_log_probability([1.0, 0.0], t) == float("-inf")
-
-    def test_decomposition_sums_to_one(self, rng):
-        # sum over all n-types of p^(x n)(T^n_q) = 1
-        for k, n in ((2, 5), (3, 4)):
-            p = rng.dirichlet(np.ones(k)) * 0.98 + 0.01  # strictly positive
-            p /= p.sum()
-            total = sum(
-                math.exp(type_log_probability(p, t)) for t in enumerate_n_types(k, n)
-            )
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_own_type_lower_bound(self):
-        # p^(x n)(T^n_p) >= (n+1)^-|X| when p is itself an n-type
-        for counts in ((2, 2), (3, 1), (2, 1, 1)):
-            n = sum(counts)
-            t = TypeDistribution(n=n, counts=counts)
-            lp = type_log_probability(t.probabilities(), t)
-            assert lp >= -len(counts) * math.log(n + 1) - 1e-12
 
 
 class TestJson:

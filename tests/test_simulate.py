@@ -402,7 +402,8 @@ class TestCappedCounts:
 class TestOrbits:
     @pytest.mark.parametrize(
         "counts, k, orbits",
-        [((3, 3), 2, 3), ((3, 3), 5, 43), ((4, 2), 5, 15), ((2, 1, 1), 6, 48), ((5, 1), 1, 1)],
+        [((3, 3), 2, 3), ((3, 3), 5, 43), ((4, 2), 5, 15), ((2, 1, 1), 6, 48), ((5, 1), 1, 1),
+         ((3, 3), 15, 43)],
     )
     def test_orbit_count_matches_burnside(self, counts, k, orbits):
         t = TypeDistribution(n=sum(counts), counts=counts)
@@ -412,21 +413,25 @@ class TestOrbits:
         assert sizes.sum() == math.comb(t.class_size(), k)
 
     def test_representatives_and_sizes_match_brute_force_orbits(self):
-        # every image of each representative under all of S_4
+        # every image of each representative under all of S_4; above |T|/2 = 6 the
+        # complements are labelled, and k = |T| is the one full subset
         t = TypeDistribution(n=4, counts=(2, 1, 1))
         domain = enumerate_type_class(t)
         index = {s: i for i, s in enumerate(domain)}
-        reps, sizes = simulate._subset_orbits(domain, 3)
-        covered = set()
-        for row, size in zip(reps, sizes):
-            assert list(row) == sorted(set(row))
-            orbit = {
-                tuple(sorted(index[tuple(domain[i][g[p]] for p in range(4))] for i in row))
-                for g in permutations(range(4))
-            }
-            assert len(orbit) == size and not orbit & covered
-            covered |= orbit
-        assert len(covered) == math.comb(len(domain), 3)
+        for k in (3, 9, 11, 12):
+            reps, sizes = simulate._subset_orbits(domain, k)
+            covered = set()
+            for row, size in zip(reps, sizes):
+                assert list(row) == sorted(set(row))
+                orbit = {
+                    tuple(sorted(index[tuple(domain[i][g[p]] for p in range(4))] for i in row))
+                    for g in permutations(range(4))
+                }
+                assert len(orbit) == size and not orbit & covered
+                # the smallest combinations rank in the orbit is its smallest sorted tuple
+                assert tuple(row) == min(orbit)
+                covered |= orbit
+            assert len(covered) == math.comb(len(domain), k)
 
     def test_d_sc_exact_diagonalises_one_matrix_per_orbit(self, rng, monkeypatch):
         # (3,3) at d_B = 2, M = 5: 15,504 codebooks in 43 orbits
