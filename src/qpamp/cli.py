@@ -178,9 +178,7 @@ def cmd_augustin(args) -> dict:
     obj, digest = _load_json(args.source)
     src = model.source_from_json(obj)
     args._digest = digest
-    res = divergence.augustin_sandwiched(
-        src, args.alpha, tol=args.tol, max_iter=args.max_iter
-    )
+    res = divergence.augustin_sandwiched(src, args.alpha)
     return {
         "alpha": args.alpha,
         "value": res.value,
@@ -325,8 +323,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("augustin", help="sandwiched Augustin information")
     p.add_argument("source")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=divergence.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=divergence.DEFAULT_MAX_ITER)
     common(p)
     p.set_defaults(fn=cmd_augustin)
 

@@ -13,29 +13,21 @@ a private kernel that rounds as SciPy's ``logsumexp`` does.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
 from .model import CQSource, marginal_state
-from .qmat import (
-    SUPPORT_CUTOFF,
-    DensityOperator,
-    HermitianOperator,
-    _entries,
-    _sym,
-)
+from .qmat import SUPPORT_CUTOFF, DensityOperator, _entries, _sym
 
 #: how much of a state may stick out of the reference support before the
 #: divergence is reported as +inf
 SUPPORT_LEAK_ATOL = 1e-10
 
-#: stopping rule of every fixed-point solver but augustin_sandwiched, read when called
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10000
+#: stopping rule of every fixed-point solver, read when called
+TOL = 1e-9
+MAX_ITER = 10000
 #: weight of the new target in each fixed-point step
 DAMPING = 0.3
 #: weight of the maximally mixed state mixed in when an iterate loses support
@@ -341,46 +333,42 @@ def _result(values, sigmas, iterations, steps) -> AugustinResult:
     """The AugustinResult of the first order of a sweep."""
     return AugustinResult(
         value=float(values[0]),
-        optimizer=DensityOperator(HermitianOperator(sigmas[0])),
+        optimizer=DensityOperator(sigmas[0]),
         iterations=int(iterations[0]),
         final_step=float(steps[0]),
     )
 
 
-def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, start=None):
+def _fixed_point(src: CQSource, alpha, conditional: bool, start=None):
     """Validate, run the fixed-point sweep, and raise if any order failed.
 
     ``alpha`` is one order (a scalar solve) or an array of them (a curve).
     The Augustin mode accepts orders in (0, 2], the conditional mode (1, 2].
-    ``tol`` and ``max_iter`` are augustin_sandwiched's, or else the defaults.
-    Every order starts at the d_B x d_B state ``start``, by default the
-    source marginal; the public solvers and curves all start there.  The
-    ConvergenceError of a scalar solve carries its AugustinResult as
-    ``best``; that of a curve carries the value array.  Returns (values,
-    sigmas, iterations, final_steps).
+    The stopping rule is TOL and MAX_ITER, read when called.  Every order
+    starts at the d_B x d_B state ``start``, by default the source marginal;
+    the public solvers and curves all start there.  The ConvergenceError of
+    a scalar solve carries its AugustinResult as ``best``; that of a curve
+    carries the value array.  Returns (values, sigmas, iterations,
+    final_steps).
     """
     lo, what = (1.0, "conditional-entropy") if conditional else (0.0, "Augustin")
     single = np.ndim(alpha) == 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     for a in alphas:
         _check_alpha(a, lo, 2.0)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise InvalidParameterError(f"max_iter must be an integer >= 1, got {max_iter}")
     states, prior = _positive_part(src)
     if start is None:
         start = np.einsum("x,xij->ij", prior, states)
     # an underflowed iterate divides 0 by 0; its nan step fails the order below
     with np.errstate(divide="ignore", invalid="ignore"):
         values, sigmas, iters, steps, ok = _sweep_fixed_point(
-            states, prior, alphas, start, conditional=conditional, tol=tol, max_iter=max_iter
+            states, prior, alphas, start, conditional=conditional, tol=TOL, max_iter=MAX_ITER
         )
     if ok.all():
         return values, sigmas, iters, steps
     if single:
         raise ConvergenceError(
-            f"{what} iteration at alpha {alphas[0]:.6g} did not reach tol={tol} in "
+            f"{what} iteration at alpha {alphas[0]:.6g} did not reach tol={TOL} in "
             f"{iters[0]} steps (last step {steps[0]:.3e})",
             best=_result(values, sigmas, iters, steps) if np.isfinite(sigmas).all() else None,
         )
@@ -392,12 +380,7 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, tol, max_iter, start=N
     )
 
 
-def augustin_sandwiched(
-    src: CQSource,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> AugustinResult:
+def augustin_sandwiched(src: CQSource, alpha: float) -> AugustinResult:
     """Order-alpha sandwiched Augustin information of a c-q source.
 
     Minimizes sum_x p(x) D*_alpha(rho_x || sigma) over density operators sigma
@@ -405,7 +388,7 @@ def augustin_sandwiched(
     reported value is the objective evaluated at the final iterate, hence
     always an upper bound on the true infimum.
     """
-    return _result(*_fixed_point(src, alpha, False, tol, max_iter))
+    return _result(*_fixed_point(src, alpha, False))
 
 
 def conditional_renyi_sandwiched(src: CQSource, alpha: float) -> float:
@@ -415,7 +398,7 @@ def conditional_renyi_sandwiched(src: CQSource, alpha: float) -> float:
     exp((alpha-1) D*_alpha(rho_x||sigma)) with the same damped fixed-point
     scheme as the Augustin optimization.
     """
-    return float(_fixed_point(src, alpha, True, DEFAULT_TOL, DEFAULT_MAX_ITER)[0][0])
+    return float(_fixed_point(src, alpha, True)[0][0])
 
 
 def conditional_renyi_petz_down(src: CQSource, alpha: float) -> float:
@@ -438,12 +421,12 @@ def augustin_sandwiched_curve(src: CQSource, alphas) -> np.ndarray:
     Same semantics per alpha as augustin_sandwiched; the iteration is batched
     over the grid for speed.  Raises ConvergenceError if any point fails.
     """
-    return _fixed_point(src, alphas, False, DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
+    return _fixed_point(src, alphas, False)[0]
 
 
 def conditional_renyi_sandwiched_curve(src: CQSource, alphas) -> np.ndarray:
     """H*_alpha(X|B) over a grid of alpha values in (1, 2]."""
-    return _fixed_point(src, alphas, True, DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
+    return _fixed_point(src, alphas, True)[0]
 
 
 def _support_powers(w: np.ndarray, exps: np.ndarray) -> np.ndarray:

@@ -111,9 +111,7 @@ def _fixed_point_row(conditional: bool, sign: float):
     """The curve of a fixed-point family, ``sign`` times the optimized value."""
 
     def curve(src, alphas, start):
-        values, optimizers, _, _ = dv._fixed_point(
-            src, alphas, conditional, dv.DEFAULT_TOL, dv.DEFAULT_MAX_ITER, start
-        )
+        values, optimizers, _, _ = dv._fixed_point(src, alphas, conditional, start)
         return _Curve(sign * values, optimizers)
 
     return curve
@@ -334,7 +332,16 @@ def _entropy_term(src: CQSource, n: int | None, finite_n: bool) -> tuple[float, 
     # Python integers: an int64 sum of the counts wraps past 9.2e18
     counts_f = [float(c) for c in src.prior * n]
     counts = tuple(round(c) for c in counts_f)
-    if max(abs(c - k) for c, k in zip(counts_f, counts)) > 1e-9 or sum(counts) != n:
+    near = max(abs(c - k) for c, k in zip(counts_f, counts)) <= 1e-9 and sum(counts) == n
+    if not near and n > 2**53:
+        # p * n rounds as a float past 2**53, so the counts are also tried from
+        # the exact rational value a/b of each float p
+        ratios = [float(p).as_integer_ratio() for p in src.prior]
+        counts = tuple((2 * a * int(n) + b) // (2 * b) for a, b in ratios)
+        near = sum(counts) == n and all(
+            abs(a * int(n) - k * b) * 10**9 <= b for (a, b), k in zip(ratios, counts)
+        )
+    if not near:
         raise InvalidInputError(f"prior {src.prior} is not an n-type at n={n}")
     t = TypeDistribution(n=n, counts=counts)
     return type_class_log_size(t) / n, "log|T|/n"

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qmat
 from .errors import CapacityError, InvalidInputError
-from .qmat import DensityOperator, HermitianOperator
+from .qmat import DensityOperator
 
 #: default cap on the number of sequences / types an enumeration may produce
 ENUMERATION_CAP = 10**6
@@ -148,7 +148,7 @@ class ConstantTypeSource:
 def marginal_state(src: CQSource) -> DensityOperator:
     """Prior-weighted average of the symbol states."""
     arr = np.einsum("x,xij->ij", src.prior, src.state_stack())
-    return DensityOperator(HermitianOperator(arr))
+    return DensityOperator(arr)
 
 
 def _log_factorial(k: int) -> float:
@@ -265,18 +265,21 @@ def source_from_json(obj: dict) -> CQSource:
     for key in ("prior", "states"):
         if key not in obj:
             raise InvalidInputError(f"source JSON is missing the '{key}' field")
-    states_json = obj["states"]
-    if not isinstance(states_json, list) or not states_json:
-        raise InvalidInputError("'states' must be a nonempty list of matrices")
-    states = tuple(
-        DensityOperator(HermitianOperator(qmat.matrix_from_json(m))) for m in states_json
-    )
+    states = states_from_json(obj, "states")
     labels = obj.get("alphabet")
     if labels is not None:
         if not isinstance(labels, list):
             raise InvalidInputError("'alphabet' must be a list of labels")
         labels = tuple(str(x) for x in labels)
     return CQSource(prior=prior_from_json(obj["prior"]), states=states, labels=labels)
+
+
+def states_from_json(obj: dict, key: str) -> tuple[DensityOperator, ...]:
+    """The density operators listed under ``key``, a nonempty list of matrices."""
+    states_json = obj[key]
+    if not isinstance(states_json, list) or not states_json:
+        raise InvalidInputError(f"'{key}' must be a nonempty list of matrices")
+    return tuple(DensityOperator(qmat.matrix_from_json(m)) for m in states_json)
 
 
 def prior_from_json(values) -> np.ndarray:

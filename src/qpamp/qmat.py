@@ -58,22 +58,23 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(HermitianOperator):
     """Positive semi-definite, unit-trace Hermitian operator.
 
-    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clamped to zero and the trace is
-    renormalized, so round-off accumulated by iterative optimizers does not
-    propagate.  Anything more negative, or a trace off by more than
-    TRACE_ATOL, is rejected.
+    Built from an array or from a HermitianOperator, whose entries are
+    already symmetrized and are taken as they are.  Eigenvalues in
+    [EIGENVALUE_FLOOR, 0) are clamped to zero and the trace is renormalized,
+    so round-off accumulated by iterative optimizers does not propagate.
+    Anything more negative, or a trace off by more than TRACE_ATOL, is
+    rejected.
     """
 
-    base: HermitianOperator
-
     def __post_init__(self):
-        base = self.base
-        if not isinstance(base, HermitianOperator):
-            base = HermitianOperator(base)
-        w = np.linalg.eigvalsh(base.entries)
+        if isinstance(self.entries, HermitianOperator):
+            arr = self.entries.entries
+        else:
+            arr = _sym(_as_square_complex(self.entries))
+        w = np.linalg.eigvalsh(arr)
         if w[0] < EIGENVALUE_FLOOR:
             raise InvalidInputError(
                 f"matrix is not positive semi-definite (min eigenvalue {w[0]:.3e})"
@@ -82,27 +83,17 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvalidInputError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
         if w[0] < 0.0:
-            wfull, v = np.linalg.eigh(base.entries)
+            wfull, v = np.linalg.eigh(arr)
             wfull = np.clip(wfull, 0.0, None)
-            arr = (v * (wfull / wfull.sum())) @ v.conj().T
-            base = HermitianOperator(arr)
+            arr = _sym((v * (wfull / wfull.sum())) @ v.conj().T)
         elif tr != 1.0:
-            base = HermitianOperator(base.entries / tr)
-        object.__setattr__(self, "base", base)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+            arr = arr / tr
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
 
 
 def _entries(op) -> np.ndarray:
-    """Accept HermitianOperator, DensityOperator, or a raw array."""
-    if isinstance(op, DensityOperator):
-        return op.base.entries
+    """Accept a HermitianOperator (density operators included) or a raw array."""
     if isinstance(op, HermitianOperator):
         return op.entries
     return _as_square_complex(op)
@@ -150,11 +141,11 @@ def random_density(rng: np.random.Generator, dim: int, *, mix: float = 0.0) -> D
     rho /= np.trace(rho).real
     if mix > 0.0:
         rho = (1.0 - mix) * rho + mix * np.eye(dim) / dim
-    return DensityOperator(HermitianOperator(rho))
+    return DensityOperator(rho)
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> DensityOperator:
     """Haar-random pure state."""
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    return DensityOperator(HermitianOperator(np.outer(psi, psi.conj())))
+    return DensityOperator(np.outer(psi, psi.conj()))

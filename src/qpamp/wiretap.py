@@ -26,8 +26,14 @@ from .exponent import (
     _entropy_term,
     _sup_over_alpha,
 )
-from .model import CQSource, ConstantTypeSource, TypeDistribution, prior_from_json
-from .qmat import DensityOperator, HermitianOperator, _entries
+from .model import (
+    CQSource,
+    ConstantTypeSource,
+    TypeDistribution,
+    prior_from_json,
+    states_from_json,
+)
+from .qmat import DensityOperator, HermitianOperator, _entries, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -39,27 +45,20 @@ class WiretapChannel:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=float).copy()
-        states = tuple(self.joint_states)
         d_b, d_e = (int(d) for d in self.dims)
         if d_b < 1 or d_e < 1:
             raise InvalidInputError(f"dims must be positive, got {self.dims}")
-        if prior.ndim != 1 or prior.size != len(states) or not states:
-            raise InvalidInputError("prior and joint_states must have matching length")
-        if (
-            not np.isfinite(prior).all()
-            or prior.min() < 0.0
-            or abs(prior.sum() - 1.0) > 1e-12
-        ):
-            raise InvalidInputError("prior must be a probability vector")
-        for s in states:
-            if s.dim != d_b * d_e:
-                raise InvalidInputError(
-                    f"joint state dimension {s.dim} != d_B * d_E = {d_b * d_e}"
-                )
-        prior.setflags(write=False)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "joint_states", states)
+        # the joint states with the prior form a c-q source, which checks both
+        try:
+            src = CQSource(prior=self.prior, states=self.joint_states)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"channel (states = joint_states): {exc}") from None
+        if src.dim_b != d_b * d_e:
+            raise InvalidInputError(
+                f"joint state dimension {src.dim_b} != d_B * d_E = {d_b * d_e}"
+            )
+        object.__setattr__(self, "prior", src.prior)
+        object.__setattr__(self, "joint_states", src.states)
         object.__setattr__(self, "dims", (d_b, d_e))
 
     @property
@@ -121,20 +120,20 @@ def partial_trace(op, keep: str, dims: tuple[int, int]) -> HermitianOperator:
     raise InvalidParameterError(f"keep must be 'B' or 'E', got {keep!r}")
 
 
+def _marginal_source(ch: WiretapChannel, keep: str) -> CQSource:
+    """The prior with the per-symbol marginal on the kept register."""
+    states = tuple(DensityOperator(partial_trace(s, keep, ch.dims)) for s in ch.joint_states)
+    return CQSource(prior=ch.prior, states=states)
+
+
 def bob_source(ch: WiretapChannel) -> CQSource:
     """The c-q source seen by Bob: prior with per-symbol B marginals."""
-    states = tuple(
-        DensityOperator(partial_trace(s, "B", ch.dims)) for s in ch.joint_states
-    )
-    return CQSource(prior=ch.prior, states=states)
+    return _marginal_source(ch, "B")
 
 
 def eve_source(ch: WiretapChannel) -> CQSource:
     """The c-q source seen by Eve: prior with per-symbol E marginals."""
-    states = tuple(
-        DensityOperator(partial_trace(s, "E", ch.dims)) for s in ch.joint_states
-    )
-    return CQSource(prior=ch.prior, states=states)
+    return _marginal_source(ch, "E")
 
 
 def secrecy_exponent(
@@ -329,8 +328,6 @@ def _direct_leakage_exact(eve: ConstantTypeSource, m: int, ell: int) -> float | 
 
 
 def channel_to_json(ch: WiretapChannel) -> dict:
-    from .qmat import matrix_to_json
-
     return {
         "prior": [float(p) for p in ch.prior],
         "joint_states": [matrix_to_json(s) for s in ch.joint_states],
@@ -339,19 +336,12 @@ def channel_to_json(ch: WiretapChannel) -> dict:
 
 
 def channel_from_json(obj: dict) -> WiretapChannel:
-    from .qmat import matrix_from_json
-
     if not isinstance(obj, dict):
         raise InvalidInputError("channel JSON must be an object")
     for key in ("prior", "joint_states", "dims"):
         if key not in obj:
             raise InvalidInputError(f"channel JSON is missing the '{key}' field")
-    states_json = obj["joint_states"]
-    if not isinstance(states_json, list) or not states_json:
-        raise InvalidInputError("'joint_states' must be a nonempty list of matrices")
-    states = tuple(
-        DensityOperator(HermitianOperator(matrix_from_json(mj))) for mj in states_json
-    )
+    states = states_from_json(obj, "joint_states")
     dims = obj["dims"]
     if not (
         isinstance(dims, list)

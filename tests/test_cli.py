@@ -102,8 +102,11 @@ class TestAugustin:
         assert doc["result"]["value"] == pytest.approx(res.value, abs=1e-10)
         assert doc["result"]["iterations"] == res.iterations
 
-    def test_convergence_failure_exit_code(self, capsys):
-        code, out, err = run(capsys, ["augustin", SOURCE, "--alpha", "1.5", "--max-iter", "2"])
+    def test_convergence_failure_exit_code(self, capsys, monkeypatch):
+        from qpamp import divergence
+
+        monkeypatch.setattr(divergence, "MAX_ITER", 2)
+        code, out, err = run(capsys, ["augustin", SOURCE, "--alpha", "1.5"])
         assert code == 2
         assert "error" in err
 
@@ -137,6 +140,25 @@ class TestExponent:
         asymptotic = run_json(capsys, argv)["result"]
         # log|T|/n is H(p) - O(log(n)/n), about 2e-18 below it
         assert finite["exponent"] == pytest.approx(asymptotic["exponent"], rel=0.0, abs=1e-12)
+
+    def test_finite_n_past_the_float_mantissa(self, capsys, tmp_path):
+        # no float holds 1e19 + 2, so past 2**53 the counts come from the exact value of p
+        argv = ["exponent", SOURCE, "--kind", "pa-direct", "--rate", "0.1", "--finite-n"]
+        doc = run_json(capsys, argv + ["--n", "10000000000000000002"])
+        assert math.isfinite(doc["result"]["exponent"])
+        code, out, err = run(capsys, argv + ["--n", "10000000000000000001"])
+        assert (code, out) == (1, "") and "not an n-type" in err
+        # at and below 2**53 the float check stays, so 0.3 (not a dyadic rational) passes
+        with open(SOURCE) as fh:
+            obj = json.load(fh)
+        obj["prior"] = [0.3, 0.7]
+        path = tmp_path / "source_37.json"
+        path.write_text(json.dumps(obj))
+        # past 2**53 every prior the float check accepts stays accepted
+        for n in ("100000000", "10000000000000000", "10000000000000000000"):
+            doc = run_json(capsys, ["exponent", str(path), "--kind", "pa-direct", "--rate", "0.1",
+                                    "--points", "50", "--n", n, "--finite-n"])
+            assert doc["result"]["meta"]["entropy_term"] == "log|T|/n"
 
     def test_all_kinds_run(self, capsys):
         for kind in ("pa-direct", "pa-converse", "sc-direct", "sc-converse", "dupuis"):

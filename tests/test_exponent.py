@@ -29,7 +29,7 @@ def empty_curve_memo():
 
 def _one_iteration_sweeps(monkeypatch):
     """Make every fixed-point sweep stop after one step."""
-    monkeypatch.setattr(dv, "DEFAULT_MAX_ITER", 1)
+    monkeypatch.setattr(dv, "MAX_ITER", 1)
 
 
 def trivial_source(p=(0.3, 0.7), dim=2, seed=0) -> CQSource:
@@ -415,7 +415,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _solve(src, a, conditional, start):
     """One fixed-point order started at ``start`` (None: the marginal)."""
-    return dv._fixed_point(src, a, conditional, dv.DEFAULT_TOL, dv.DEFAULT_MAX_ITER, start)[0][0]
+    return dv._fixed_point(src, a, conditional, start)[0][0]
 
 
 #: each curve family at one order from a given start, one solve per call
@@ -621,11 +621,9 @@ class TestSpeculativeRefinement:
     )
     def test_one_order_raises_the_single_point_error(self, monkeypatch, rng, family, solve):
         src = rand_source(rng, 2, 2)
-        monkeypatch.setattr(dv, "DEFAULT_MAX_ITER", 2)
-        # augustin_sandwiched takes its own max_iter; the other solvers read the default
-        args = (dv.DEFAULT_TOL, 2) if solve is dv.augustin_sandwiched else ()
+        monkeypatch.setattr(dv, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as scalar:
-            solve(src, 1.5, *args)
+            solve(src, 1.5)
         with pytest.raises(ConvergenceError) as refine:
             exponent._FAMILIES[family].curve(src, 1.5, None)
         assert str(refine.value) == str(scalar.value)

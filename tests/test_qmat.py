@@ -47,6 +47,24 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             dens(np.diag([0.6, 0.6]))
 
+    @pytest.mark.parametrize(
+        "eigs", [(0.25, 0.75), (1.0 + 5e-11, -5e-11), (0.5, 0.5 + 1e-12)],
+        ids=["pass-through", "clamp", "renormalize"],
+    )
+    def test_density_from_array_or_hermitian(self, eigs):
+        g = np.random.default_rng(3).normal(size=(2, 2, 2))
+        u, _ = np.linalg.qr(g[0] + 1j * g[1])
+        arr = (u * np.array(eigs)) @ u.conj().T
+        base = HermitianOperator(arr)
+        from_array, from_base = DensityOperator(arr), DensityOperator(base)
+        assert isinstance(from_array, HermitianOperator)
+        assert from_array.entries.tobytes() == from_base.entries.tobytes()
+        if eigs[0] == 0.25:
+            assert from_base.entries is base.entries  # taken as it is, not symmetrized again
+        else:
+            assert from_base.entries.tobytes() != base.entries.tobytes()
+            assert np.linalg.eigvalsh(from_base.entries).min() >= 0.0
+
     def test_entries_read_only(self):
         op = herm(np.eye(2))
         with pytest.raises(ValueError):

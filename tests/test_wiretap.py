@@ -51,6 +51,32 @@ def useless_eve_channel(rng, prior=(0.5, 0.5)) -> WiretapChannel:
     return product_channel(bob, [tau, tau], prior)
 
 
+class TestChannelValidation:
+    @pytest.mark.parametrize(
+        "prior, dims, dim_last",
+        [
+            ((math.nan, 0.5), (2, 2), 4),
+            ((1.5, -0.5), (2, 2), 4),
+            ((0.5, 0.6), (2, 2), 4),
+            ((0.5, 0.25, 0.25), (2, 2), 4),
+            ((0.5, 0.5), (0, 4), 4),
+            ((0.5, 0.5), (2, 3), 4),
+            ((0.5, 0.5), (2, 2), 2),
+        ],
+        ids=["nan-prior", "negative-prior", "unnormalized-prior", "prior-length",
+             "zero-dim", "joint-dim", "mixed-dims"],
+    )
+    def test_rejected(self, prior, dims, dim_last):
+        joint = (diag_dens([1, 0, 0, 0]), diag_dens(np.eye(dim_last)[0]))
+        with pytest.raises(InvalidInputError):
+            WiretapChannel(prior=np.array(prior), joint_states=joint, dims=dims)
+
+    def test_source_checks_name_the_channel(self):
+        joint = (diag_dens([1, 0, 0, 0]),)
+        with pytest.raises(InvalidInputError, match=r"^channel \(states = joint_states\): prior"):
+            WiretapChannel(prior=np.array([0.5, 0.5]), joint_states=joint, dims=(2, 2))
+
+
 class TestPartialTrace:
     def test_product_keep_b(self, rng):
         rho, tau = random_density(rng, 2), random_density(rng, 3)
