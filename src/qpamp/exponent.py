@@ -22,6 +22,20 @@ may need, so it takes the same steps and returns the same floats as a
 search with one solve per step from that start.  Exponents are in nats per
 symbol; negative values mean the bound is vacuous and are reported as-is.
 
+When the best grid order is the first or the last, the evaluator reads the
+objective's slope there before walking: a central difference over
++- EDGE_STEP of Q with its reference state held at that order's grid
+optimizer (``divergence._objective_at``; petz-up's closed form has a fixed
+reference), which solves no fixed point.  By the envelope theorem (Milgrom
+and Segal, Econometrica 70(2), 2002) that is the slope of the optimised
+objective.  If it points out of the grid by more than EDGE_SLOPE_MARGIN, the
+grid point is the report: a walk would close in on that end, stop at least
+0.3 REFINE_XTOL inside it, read a value lower by at least 3e-13 and keep the
+grid point, because a warm refined value differs from the cold grid value at
+the same order by far less (see EDGE_SLOPE_MARGIN).  So every report is
+bit-identical to a walk's.  A smaller or non-finite slope walks as before,
+and a walk skipped reads no point, so none can raise.
+
 The grid curve does not depend on the rate, so it is memoised: kinds and
 rates that share a source share one sweep.  The memo is keyed by a digest of
 the content (family, prior, states, grid), never by object identity, so a
@@ -64,6 +78,16 @@ SCAN_TYPES_CAP = 10**4
 REFINE_XTOL = 1e-8
 #: golden-section steps whose possible points one refinement batch evaluates
 LOOKAHEAD = 3
+#: half-step of the central difference that reads the objective's slope at a
+#: grid end; below ALPHA_MARGIN, so both points lie inside the interval, and its
+#: truncation (~h^2) and rounding (~1e-16/h) errors are far below the margin
+EDGE_STEP = 1e-5
+#: outward slope above which a grid end is kept without a walk.  The walk would
+#: read a value at least 0.3 * REFINE_XTOL * margin = 3e-13 lower; the largest
+#: gap between a cold grid value and a warm solve at the same order (objective
+#: units, both ends, all three families) on the 100 sources of acceptance
+#: criterion 2 is 2.6e-15
+EDGE_SLOPE_MARGIN = 1e-4
 #: memory the grid-curve memo may hold, keys and arrays included
 CURVE_MEMO_BYTES = 1 << 20
 #: ceiling on points * |X| * d_B^2 * 16, the bytes of one grid's stacked
@@ -92,29 +116,43 @@ class _Curve(NamedTuple):
 
 
 class _Family(NamedTuple):
-    """Open alpha interval of a curve Q, and Q over an array of orders.
+    """Open alpha interval of a curve Q, Q over an array of orders, and Q at one state.
 
     ``curve`` is called as (source, alphas, start) for the grid and the
     refinement alike and returns a ``_Curve``.  The fixed-point rows start
     every order at the d_B x d_B state ``start``, or at the source marginal
     when it is None; petz-up has a closed form and ignores it.  Given one
     order it raises the ConvergenceError of the family's single-point solve
-    (``best`` an AugustinResult for the fixed-point rows).
+    (``best`` an AugustinResult for the fixed-point rows).  ``at_state`` is
+    called as (source, alphas, state) and returns Q over the orders with the
+    reference state held at ``state``, solving nothing: for the fixed-point
+    rows the objective they optimise, with the row's sign, at ``state``; for
+    petz-up, whose reference state is the marginal, its closed form.
     """
 
     lo: float
     hi: float
     curve: Callable[[CQSource, np.ndarray, np.ndarray | None], _Curve]
+    at_state: Callable[[CQSource, np.ndarray, np.ndarray | None], np.ndarray]
 
 
-def _fixed_point_row(conditional: bool, sign: float):
-    """The curve of a fixed-point family, ``sign`` times the optimized value."""
+def _fixed_point_row(conditional: bool, sign: float) -> tuple[Callable, Callable]:
+    """The curve of a fixed-point family, ``sign`` times the optimized value, and its at_state."""
 
     def curve(src, alphas, start):
         values, optimizers, _, _ = dv._fixed_point(src, alphas, conditional, start)
         return _Curve(sign * values, optimizers)
 
-    return curve
+    def at_state(src, alphas, state):
+        states, prior = dv._positive_part(src)
+        sigmas = np.broadcast_to(state, (alphas.size, *state.shape))
+        return sign * dv._objective_at(states, prior, alphas, sigmas, conditional=conditional)
+
+    return curve, at_state
+
+
+def _petz_up(src, alphas, state=None):
+    return dv.augustin_petz_up_curve(src, 2.0 - 1.0 / alphas)
 
 
 # The divergence functions are looked up when called, so code that replaces
@@ -127,12 +165,9 @@ def _fixed_point_row(conditional: bool, sign: float):
 # best grid order, which the memo keeps, so a hit refines from the same state
 # as a miss.
 _FAMILIES = {
-    "augustin": _Family(1.0, 2.0, _fixed_point_row(False, 1.0)),
-    "petz-up": _Family(
-        0.5, 1.0,
-        lambda src, a, start: _Curve(dv.augustin_petz_up_curve(src, 2.0 - 1.0 / a), None),
-    ),
-    "neg-conditional": _Family(1.0, 2.0, _fixed_point_row(True, -1.0)),
+    "augustin": _Family(1.0, 2.0, *_fixed_point_row(False, 1.0)),
+    "petz-up": _Family(0.5, 1.0, lambda src, a, start: _Curve(_petz_up(src, a), None), _petz_up),
+    "neg-conditional": _Family(1.0, 2.0, *_fixed_point_row(True, -1.0)),
 }
 
 
@@ -270,6 +305,19 @@ def _golden_max(
         known.update(zip(points, map(float, np.atleast_1d(values))))
 
 
+def _slope(fam: _Family, src: CQSource, objective, a: float, state) -> float:
+    """The objective's slope at order ``a`` with Q's reference state held at ``state``.
+
+    A central difference over a +- EDGE_STEP of ``fam.at_state``.  When
+    ``state`` is the optimizer at ``a`` this is the slope of the optimised
+    objective (the envelope theorem), and no fixed point is solved.
+    """
+    pair = np.array([a - EDGE_STEP, a + EDGE_STEP])
+    with np.errstate(invalid="ignore", over="ignore"):
+        below, above = objective(fam.at_state(src, pair, state), pair)
+        return float((above - below) / (2.0 * EDGE_STEP))
+
+
 def _sup_over_alpha(
     src: CQSource,
     family: str,
@@ -286,7 +334,8 @@ def _sup_over_alpha(
     each formula states them, so every objective rounds exactly as its closed
     form does.  The default offset is -0.0, the exact additive identity, so
     an objective without one keeps the sign of a zero.  Grids
-    [lo+margin, hi-margin], then refines the best bracket.  Returns the
+    [lo+margin, hi-margin], then refines the best bracket unless the best
+    order is a grid end the objective leaves outward.  Returns the
     ExponentReport of the supremum, its alpha, the grid curve and the given
     ``prefactor_log`` and ``meta``.  Every refinement solve of a fixed-point
     family starts at the grid optimizer of the best grid order, so each
@@ -312,13 +361,17 @@ def _sup_over_alpha(
     i = int(np.argmax(vals))
     best_a, best_v = float(alphas[i]), float(vals[i])
     start = None if grid.optimizers is None else grid.optimizers[i]
-    ra, rv = _golden_max(
-        lambda a: objective(fam.curve(src, a, start).values, a),
-        float(alphas[max(i - 1, 0)]),
-        float(alphas[min(i + 1, points - 1)]),
-    )
-    if rv > best_v:
-        best_a, best_v = float(ra), float(rv)
+    # a grid end whose slope points out of the grid is the point a walk keeps
+    outward = {0: -1.0, points - 1: 1.0}.get(i)
+    slope = math.nan if outward is None else outward * _slope(fam, src, objective, best_a, start)
+    if not slope > EDGE_SLOPE_MARGIN:
+        ra, rv = _golden_max(
+            lambda a: objective(fam.curve(src, a, start).values, a),
+            float(alphas[max(i - 1, 0)]),
+            float(alphas[min(i + 1, points - 1)]),
+        )
+        if rv > best_v:
+            best_a, best_v = float(ra), float(rv)
     curve = tuple((float(a), float(v)) for a, v in zip(alphas, vals))
     return ExponentReport(best_v, best_a, curve, prefactor_log, meta)
 

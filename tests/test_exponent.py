@@ -494,7 +494,9 @@ def _all_kinds(inst, ch, monkeypatch):
     """Every exponent kind on one constant-type instance and one channel."""
     monkeypatch.setattr(exponent, "SCAN_POINTS", 20)
     src, n = inst.base, inst.type.n
-    rate = 0.5 * exponent.conditional_entropy_limit(src)
+    limit = exponent.conditional_entropy_limit(src)
+    rate = 0.5 * limit
+    delta = min(0.05, 0.5 * dv.holevo_mutual_info(wiretap.bob_source(ch)))
     return {
         "sc-direct": lambda: exponent.sc_achievability_exponent(src, rate + 0.2),
         "sc-converse": lambda: exponent.sc_converse_exponent(src, rate, n=n),
@@ -503,11 +505,75 @@ def _all_kinds(inst, ch, monkeypatch):
             src, rate, n=n, finite_n=True
         ),
         "pa-converse": lambda: exponent.pa_strong_converse_exponent(src, rate, n=n),
+        # above the extraction limit, where the converse is positive
+        "pa-converse-above": lambda: exponent.pa_strong_converse_exponent(src, limit + 0.1, n=n),
         "dupuis": lambda: exponent.dupuis_exponent(src, rate),
         "iid": lambda: exponent.iid_exponent_via_types(src, rate, 3),
         "secrecy": lambda: wiretap.secrecy_exponent(ch, 0.01),
-        "allocation": lambda: wiretap.allocate_rates(ch, 0.0, 0.05, 8).bob_decoding_exponent,
+        # feasible at rate 0 for every channel: delta <= I(X:B), and at n = 64
+        # the uniform prior's key rate R2 is positive whatever I(X:B)
+        "allocation": lambda: wiretap.allocate_rates(ch, 0.0, delta, 64).bob_decoding_exponent,
     }
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Record the arguments of every call to ``module.name`` from now on."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def _grid_argmax(rep) -> int:
+    return int(np.argmax([v for _, v in rep.curve]))
+
+
+def _assert_interior(rep):
+    """The report's grid argmax is interior, so its refinement walks."""
+    i = _grid_argmax(rep)
+    assert 0 < i < len(rep.curve) - 1, f"grid argmax {i} is a grid end: no walk to watch"
+
+
+def _assert_edge(rep):
+    i = _grid_argmax(rep)
+    assert i in (0, len(rep.curve) - 1), f"grid argmax {i} is interior"
+
+
+def _recording_paths(monkeypatch) -> list[tuple[str, str]]:
+    """Record (row, path) of every supremum taken from now on.
+
+    The row is ``fixed-point`` or ``petz-up``; the path is ``low`` or
+    ``high`` for a grid end kept without a walk, ``interior`` or ``edge``
+    for a walk from an interior or an end argmax.
+    """
+    paths, sup = [], exponent._sup_over_alpha
+    walks = _counting(monkeypatch, exponent, "_golden_max")
+
+    def recording(src, family, *args, **kwargs):
+        walks.clear()
+        rep = sup(src, family, *args, **kwargs)
+        i, last = _grid_argmax(rep), len(rep.curve) - 1
+        if walks:
+            path = "interior" if 0 < i < last else "edge"
+        else:
+            path = {0: "low", last: "high"}[i]  # a skip anywhere else is a KeyError
+        paths.append(("petz-up" if family == "petz-up" else "fixed-point", path))
+        return rep
+
+    monkeypatch.setattr(exponent, "_sup_over_alpha", recording)
+    monkeypatch.setattr(wiretap, "_sup_over_alpha", recording)
+    return paths
+
+
+#: seeds of the sequential reference; together they take every path of both rows
+_SEQUENTIAL_SEEDS = range(12)
+#: the (row, path) pairs each seed's reports took, as the bit-identity test saw them
+_SEQUENTIAL_PATHS: dict[int, list[tuple[str, str]]] = {}
+
+
+def _seed_kinds(seed, monkeypatch) -> dict:
+    rng = np.random.default_rng(seed)
+    inst = rand_instance(rng, alphabet_size=2 + seed % 2)
+    return _all_kinds(inst, _random_channel(rng), monkeypatch)
 
 
 class TestSpeculativeRefinement:
@@ -515,19 +581,19 @@ class TestSpeculativeRefinement:
     def test_lookahead_is_float_neutral(self, monkeypatch, rng, lookahead):
         src = rand_source(rng, 2, 2, mix=0.1)
         kinds = (
-            lambda: exponent.pa_achievability_exponent(src, 0.1),
-            lambda: exponent.dupuis_exponent(src, 0.1),
+            lambda: exponent.pa_achievability_exponent(src, 0.3),
+            lambda: exponent.dupuis_exponent(src, 0.3),
             lambda: exponent.sc_converse_exponent(src, 0.1),
         )
         ref = [kind() for kind in kinds]
+        for rep in ref:
+            _assert_interior(rep)
         monkeypatch.setattr(exponent, "LOOKAHEAD", lookahead)
         assert [kind() for kind in kinds] == ref
 
     @pytest.mark.parametrize("seed", range(3))
     def test_warm_start_agrees_with_a_cold_refinement(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        inst = rand_instance(rng, alphabet_size=2 + seed % 2)
-        kinds = _all_kinds(inst, _random_channel(rng), monkeypatch)
+        kinds = _seed_kinds(seed, monkeypatch)
         cold_sup = functools.partial(sequential_sup, warm=False)
         with monkeypatch.context() as m:
             m.setattr(exponent, "_sup_over_alpha", cold_sup)
@@ -538,21 +604,36 @@ class TestSpeculativeRefinement:
             assert got.exponent == pytest.approx(ref.exponent, rel=0.0, abs=1e-12), k
             assert got.curve == ref.curve, k
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", _SEQUENTIAL_SEEDS)
     def test_bit_identical_to_sequential_refinement(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        inst = rand_instance(rng, alphabet_size=2 + seed % 2)
-        kinds = _all_kinds(inst, _random_channel(rng), monkeypatch)
+        kinds = _seed_kinds(seed, monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(exponent, "_sup_over_alpha", sequential_sup)
             m.setattr(wiretap, "_sup_over_alpha", sequential_sup)
             expected = {k: fn() for k, fn in kinds.items()}
+        _SEQUENTIAL_PATHS[seed] = _recording_paths(monkeypatch)
         for k, fn in kinds.items():
             got, ref = fn(), expected[k]
             assert (got.exponent, got.alpha_star, got.curve) == (
                 ref.exponent, ref.alpha_star, ref.curve
             ), k
             assert (got.prefactor_log, got.meta) == (ref.prefactor_log, ref.meta), k
+
+    def test_sequential_seeds_take_every_path(self, monkeypatch):
+        # the seeds above compare edge skips and interior walks alike with the
+        # sequential walk, which never skips; a seed whose test has not run
+        # here is run now
+        paths = []
+        for seed in _SEQUENTIAL_SEEDS:
+            if seed not in _SEQUENTIAL_PATHS:
+                with monkeypatch.context() as m:
+                    kinds = _seed_kinds(seed, m)
+                    _SEQUENTIAL_PATHS[seed] = _recording_paths(m)
+                    for fn in kinds.values():
+                        fn()
+            paths += _SEQUENTIAL_PATHS[seed]
+        for row in ("fixed-point", "petz-up"):
+            assert {(row, "low"), (row, "high"), (row, "interior")} <= set(paths), row
 
     def test_batch_count(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2, mix=0.1)
@@ -566,12 +647,12 @@ class TestSpeculativeRefinement:
             return fixed_point(src, alphas, *args)
 
         monkeypatch.setattr(dv, "_fixed_point", counting)
-        exponent.pa_achievability_exponent(src, 0.1)
+        _assert_interior(exponent.pa_achievability_exponent(src, 0.3))
         assert sizes[0] == exponent.GRID_POINTS
         assert 1 <= len(sizes) - 1 <= 12
         refinement = sizes[1:]
         sizes.clear()
-        exponent.pa_achievability_exponent(src, 0.1)
+        exponent.pa_achievability_exponent(src, 0.3)
         assert sizes == refinement  # the grid curve comes from the memo
 
     def _stub_family(self, monkeypatch, fam, fail_at):
@@ -585,8 +666,9 @@ class TestSpeculativeRefinement:
     def test_unread_failure_is_not_raised(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2, mix=0.1)
         read = []
-        sequential_sup(src, "augustin", (0.2,), visited=read)
-        ref = exponent.sc_achievability_exponent(src, 0.2)  # the grid, from now on memoised
+        sequential_sup(src, "augustin", (0.3,), visited=read)
+        ref = exponent.sc_achievability_exponent(src, 0.3)  # the grid, from now on memoised
+        _assert_interior(ref)
         evaluated = []
         fam = exponent._FAMILIES["augustin"]
 
@@ -595,22 +677,22 @@ class TestSpeculativeRefinement:
             return fam.curve(src, alphas, start)
 
         monkeypatch.setitem(exponent._FAMILIES, "augustin", fam._replace(curve=recording))
-        assert exponent.sc_achievability_exponent(src, 0.2) == ref
+        assert exponent.sc_achievability_exponent(src, 0.3) == ref
         unread = sorted(set(evaluated) - set(read))
         assert unread
         for point in (unread[0], unread[len(unread) // 2], unread[-1]):
             self._stub_family(monkeypatch, fam, point)
-            got = exponent.sc_achievability_exponent(src, 0.2)
+            got = exponent.sc_achievability_exponent(src, 0.3)
             assert (got.exponent, got.alpha_star) == (ref.exponent, ref.alpha_star)
 
     @pytest.mark.parametrize("which", [0, 5, -1])
     def test_read_failure_is_raised(self, monkeypatch, rng, which):
         src = rand_source(rng, 2, 2, mix=0.1)
         read = []
-        sequential_sup(src, "augustin", (0.2,), visited=read)
+        _assert_interior(sequential_sup(src, "augustin", (0.3,), visited=read))
         self._stub_family(monkeypatch, exponent._FAMILIES["augustin"], read[which])
         with pytest.raises(ConvergenceError, match="stub failure"):
-            exponent.sc_achievability_exponent(src, 0.2)
+            exponent.sc_achievability_exponent(src, 0.3)
 
     @pytest.mark.parametrize(
         "family, solve",
@@ -629,6 +711,71 @@ class TestSpeculativeRefinement:
         assert str(refine.value) == str(scalar.value)
         assert isinstance(refine.value.best, dv.AugustinResult)
         assert refine.value.best.iterations == 2
+
+
+# -- grid ends kept without a walk ----------------------------------------------
+
+#: kinds whose supremum on the ``rng`` fixture's first mixed source is at a grid end
+_EDGE_KINDS = {
+    "pa-direct": ("augustin", lambda src: exponent.pa_achievability_exponent(src, 0.1)),
+    "sc-direct": ("augustin", lambda src: exponent.sc_achievability_exponent(src, 0.1)),
+    "dupuis": ("neg-conditional", lambda src: exponent.dupuis_exponent(src, 0.1)),
+    "pa-converse": ("petz-up", lambda src: exponent.pa_strong_converse_exponent(src, 0.1)),
+}
+
+
+class TestEdgeSkip:
+    @pytest.mark.parametrize("family", list(exponent._FAMILIES))
+    def test_at_state_is_the_curve_at_its_optimizer(self, rng, family):
+        src = rand_source(rng, 3, 2, mix=0.1)
+        fam = exponent._FAMILIES[family]
+        alphas = np.linspace(fam.lo + exponent.ALPHA_MARGIN, fam.hi - exponent.ALPHA_MARGIN, 9)
+        curve = fam.curve(src, alphas, None)
+        for i, a in enumerate(alphas):
+            state = None if curve.optimizers is None else curve.optimizers[i]
+            got = fam.at_state(src, np.array([a]), state)[0]
+            assert got == pytest.approx(curve.values[i], rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", _EDGE_KINDS)
+    def test_walk_keeps_the_skipped_end(self, monkeypatch, rng, kind):
+        _, run = _EDGE_KINDS[kind]
+        src = rand_source(rng, 2, 2, mix=0.1)
+        walks = _counting(monkeypatch, exponent, "_golden_max")
+        skipped = run(src)
+        _assert_edge(skipped)
+        assert walks == []
+        monkeypatch.setattr(exponent, "EDGE_SLOPE_MARGIN", math.inf)
+        assert run(src) == skipped
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("kind", ["pa-direct", "sc-direct", "dupuis"])
+    def test_memo_hit_solves_nothing(self, monkeypatch, rng, kind):
+        _, run = _EDGE_KINDS[kind]
+        src = rand_source(rng, 2, 2, mix=0.1)
+        miss = run(src)
+        _assert_edge(miss)
+        solves = _counting(monkeypatch, dv, "_fixed_point")
+        assert run(src) == miss
+        assert solves == []
+
+    @pytest.mark.parametrize("kind", _EDGE_KINDS)
+    def test_unread_bracket_cannot_raise(self, monkeypatch, rng, kind):
+        family, run = _EDGE_KINDS[kind]
+        src = rand_source(rng, 2, 2, mix=0.1)
+        ref = run(src)  # the grid, from now on memoised
+        _assert_edge(ref)
+
+        def failing(src, alphas, start):
+            raise ConvergenceError("stub failure")
+
+        fam = exponent._FAMILIES[family]
+        monkeypatch.setitem(exponent._FAMILIES, family, fam._replace(curve=failing))
+        got = run(src)
+        assert got == ref
+        assert got.alpha_star == got.curve[_grid_argmax(got)][0]  # the grid point
+        monkeypatch.setattr(exponent, "EDGE_SLOPE_MARGIN", math.inf)
+        with pytest.raises(ConvergenceError, match="stub failure"):
+            run(src)
 
 
 # -- grid-curve memo -------------------------------------------------------------
@@ -666,9 +813,7 @@ def _rebuilt(src: CQSource, prior=None) -> CQSource:
 class TestCurveCache:
     @pytest.mark.parametrize("seed", range(3))
     def test_warm_memo_is_bit_identical(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        inst = rand_instance(rng, alphabet_size=2 + seed % 2)
-        kinds = _all_kinds(inst, _random_channel(rng), monkeypatch)
+        kinds = _seed_kinds(seed, monkeypatch)
         cold = {}
         for k, fn in kinds.items():
             exponent._CURVES.clear()
@@ -776,10 +921,11 @@ class TestCurveCache:
 
         monkeypatch.setitem(exponent._FAMILIES, family, fam._replace(curve=recording))
         run = {
-            "augustin": lambda: exponent.pa_achievability_exponent(src, 0.1),
-            "neg-conditional": lambda: exponent.dupuis_exponent(src, 0.1),
+            "augustin": lambda: exponent.pa_achievability_exponent(src, 0.3),
+            "neg-conditional": lambda: exponent.dupuis_exponent(src, 0.3),
         }[family]
         miss = run()
+        _assert_interior(miss)
         miss_starts = starts[:]
         (curve,) = exponent._CURVES._curves.values()
         hit = run()
