@@ -262,6 +262,18 @@ def cmd_wiretap(args) -> dict:
     ch = wiretap.channel_from_json(obj)
     args._digest = digest
     _check_curve_out(args.curve_out)
+    if args.threshold:
+        if args.curve_out:
+            raise InvalidParameterError("--threshold computes no curve for --curve-out")
+        if args.rate is not None or args.simulate:
+            raise InvalidParameterError("--threshold takes neither --rate nor --simulate")
+        bob = wiretap.bob_source(ch)
+        eve = wiretap.eve_source(ch)
+        return {
+            "threshold": wiretap.positivity_threshold(ch),
+            "mutual_info_bob": divergence.holevo_mutual_info(bob),
+            "mutual_info_eve": divergence.holevo_mutual_info(eve),
+        }
     if args.simulate:
         if args.type is None or args.rate is None:
             raise InvalidParameterError("--simulate requires --type and --rate")
@@ -287,16 +299,6 @@ def cmd_wiretap(args) -> dict:
                 "realized_rates": asdict(leak.realized),
                 "exact": leak.exact,
             },
-        }
-    if args.threshold:
-        if args.curve_out:
-            raise InvalidParameterError("--threshold computes no curve for --curve-out")
-        bob = wiretap.bob_source(ch)
-        eve = wiretap.eve_source(ch)
-        return {
-            "threshold": wiretap.positivity_threshold(ch),
-            "mutual_info_bob": divergence.holevo_mutual_info(bob),
-            "mutual_info_eve": divergence.holevo_mutual_info(eve),
         }
     if args.rate is not None:
         rep = wiretap.secrecy_exponent(ch, args.rate, points=args.points)

@@ -14,6 +14,7 @@ a private kernel that rounds as SciPy's ``logsumexp`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +118,14 @@ def _check_alpha(alpha: float, lo: float, hi: float) -> float:
     return alpha
 
 
+def _orders(alpha, conditional: bool) -> np.ndarray:
+    """``alpha`` as an array of orders, each in the conditional (1, 2] or the Augustin (0, 2]."""
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    for a in alphas:
+        _check_alpha(a, 1.0 if conditional else 0.0, 2.0)
+    return alphas
+
+
 def petz_renyi(rho, sigma, alpha: float) -> float:
     """Order-alpha Petz-Renyi divergence; +inf on support violation."""
     alpha = float(alpha)
@@ -216,16 +225,7 @@ def _tilt(states, cexp, w, v, supp) -> np.ndarray:
     return _sym(np.einsum("aij,xjk,akl->axil", sc, states, sc))
 
 
-def _sweep_fixed_point(
-    states: np.ndarray,
-    prior: np.ndarray,
-    alphas: np.ndarray,
-    start: np.ndarray,
-    *,
-    conditional: bool,
-    tol: float,
-    max_iter: int,
-):
+def _sweep_fixed_point(states, prior, alphas, start, conditional: bool):
     """Damped fixed-point iteration, vectorized over a stack of alpha values.
 
     For the Augustin mode the map averages the per-symbol normalized
@@ -233,11 +233,11 @@ def _sweep_fixed_point(
     the raw tilted states with weights p(x)^alpha and normalizes once.  Every
     alpha slice starts at the state ``start``, evolves independently and is
     frozen as soon as its update step (operator norm of the change) drops
-    below tol, so the sweep reproduces the single-alpha iteration from the
+    below TOL, so the sweep reproduces the single-alpha iteration from the
     same start exactly.  A non-finite step (an iterate whose sigma^c
-    underflowed or overflowed) freezes its slice unconverged.
+    underflowed or overflowed) freezes its slice unconverged, as MAX_ITER does.
 
-    Returns (values, sigmas, iterations, final_steps, converged).
+    Returns (sigmas, iterations, final_steps, converged).
     """
     alphas = np.asarray(alphas, dtype=float)
     na = alphas.size
@@ -253,7 +253,7 @@ def _sweep_fixed_point(
     if conditional:
         weights = prior[None, :] ** alphas[:, None]
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not active.any():
             break
         idx = np.flatnonzero(active)
@@ -293,28 +293,29 @@ def _sweep_fixed_point(
         sigma[idx] = new
         iterations[idx] = it
         steps[idx] = step
-        active[idx] = np.isfinite(step) & (step >= tol)
+        active[idx] = np.isfinite(step) & (step >= TOL)
 
-    values = _objective_at(states, prior, alphas, sigma, conditional=conditional)
-    return values, sigma, iterations, steps, steps < tol
+    return sigma, iterations, steps, steps < TOL
 
 
-def _objective_at(
-    states: np.ndarray,
-    prior: np.ndarray,
-    alphas: np.ndarray,
-    sigma: np.ndarray,
-    *,
-    conditional: bool,
-) -> np.ndarray:
-    """Evaluate the optimization objective at given reference states.
+def objective_at(src: CQSource, alphas, state, *, conditional: bool) -> np.ndarray:
+    """The fixed-point objective over ``alphas`` with the reference state held at ``state``.
 
-    Augustin mode: sum_x p(x) D*_alpha(rho_x || sigma).  Conditional mode: the
-    sandwiched conditional Renyi entropy value -D*_alpha(rho_XB || 1 x sigma).
-    Each symbol is handled in the log domain to avoid underflow at extreme
-    alpha.
+    ``state`` is one d_B x d_B state for every order or a stack of one per
+    order; nothing is solved.  Augustin mode: sum_x p(x) D*_alpha(rho_x ||
+    sigma), which augustin_sandwiched minimizes over orders in (0, 2].
+    Conditional mode: -D*_alpha(rho_XB || 1 x sigma), which
+    conditional_renyi_sandwiched maximizes over orders in (1, 2].
     """
-    alphas = np.asarray(alphas, dtype=float)
+    alphas, d = _orders(alphas, conditional), src.dim_b
+    if np.shape(state) not in ((d, d), (alphas.size, d, d)):
+        raise InvalidParameterError(f"state must be {d}x{d} or one per order: {np.shape(state)}")
+    sigma = np.broadcast_to(state, (alphas.size, d, d))
+    return _objective(*_positive_part(src), alphas, sigma, conditional)
+
+
+def _objective(states, prior, alphas, sigma, conditional: bool) -> np.ndarray:
+    """objective_at over the positive part ``states``, ``prior``; each symbol in log domain."""
     cexp = (1.0 - alphas) / (2.0 * alphas)
     omega = _tilt(states, cexp, *_support_eigh(sigma))
     mu = np.clip(np.linalg.eigvalsh(omega), 0.0, None)
@@ -343,27 +344,21 @@ def _fixed_point(src: CQSource, alpha, conditional: bool, start=None):
     """Validate, run the fixed-point sweep, and raise if any order failed.
 
     ``alpha`` is one order (a scalar solve) or an array of them (a curve).
-    The Augustin mode accepts orders in (0, 2], the conditional mode (1, 2].
-    The stopping rule is TOL and MAX_ITER, read when called.  Every order
-    starts at the d_B x d_B state ``start``, by default the source marginal;
-    the public solvers and curves all start there.  The ConvergenceError of
-    a scalar solve carries its AugustinResult as ``best``; that of a curve
-    carries the value array.  Returns (values, sigmas, iterations,
-    final_steps).
+    Every order starts at the d_B x d_B state ``start``, or at the source
+    marginal when it is None.  The ConvergenceError of a scalar solve
+    carries its AugustinResult as ``best``; that of a curve carries the
+    value array.  Returns (values, sigmas, iterations, final_steps).
     """
-    lo, what = (1.0, "conditional-entropy") if conditional else (0.0, "Augustin")
+    what = "conditional-entropy" if conditional else "Augustin"
     single = np.ndim(alpha) == 0
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    for a in alphas:
-        _check_alpha(a, lo, 2.0)
+    alphas = _orders(alpha, conditional)
     states, prior = _positive_part(src)
     if start is None:
         start = np.einsum("x,xij->ij", prior, states)
     # an underflowed iterate divides 0 by 0; its nan step fails the order below
     with np.errstate(divide="ignore", invalid="ignore"):
-        values, sigmas, iters, steps, ok = _sweep_fixed_point(
-            states, prior, alphas, start, conditional=conditional, tol=TOL, max_iter=MAX_ITER
-        )
+        sigmas, iters, steps, ok = _sweep_fixed_point(states, prior, alphas, start, conditional)
+        values = _objective(states, prior, alphas, sigmas, conditional)
     if ok.all():
         return values, sigmas, iters, steps
     if single:
@@ -415,18 +410,27 @@ def conditional_renyi_petz_down(src: CQSource, alpha: float) -> float:
     return float(-_logsumexp(logterms) / (alpha - 1.0))
 
 
-def augustin_sandwiched_curve(src: CQSource, alphas) -> np.ndarray:
-    """Sandwiched Augustin information over a grid of alpha values.
+class Curve(NamedTuple):
+    """A curve's value at each order, and its fixed-point optimizer there (None: a closed form)."""
 
-    Same semantics per alpha as augustin_sandwiched; the iteration is batched
-    over the grid for speed.  Raises ConvergenceError if any point fails.
+    values: np.ndarray
+    optimizers: np.ndarray | None
+
+
+def augustin_sandwiched_curve(src: CQSource, alphas, start=None) -> Curve:
+    """Sandwiched Augustin information over an array of alpha values in (0, 2].
+
+    Same semantics per alpha as augustin_sandwiched, batched over the orders.
+    Every order starts at the d_B x d_B state ``start``, or at the source
+    marginal when it is None.  Raises ConvergenceError if any order fails;
+    given one order, it raises the error augustin_sandwiched would.
     """
-    return _fixed_point(src, alphas, False)[0]
+    return Curve(*_fixed_point(src, alphas, False, start)[:2])
 
 
-def conditional_renyi_sandwiched_curve(src: CQSource, alphas) -> np.ndarray:
-    """H*_alpha(X|B) over a grid of alpha values in (1, 2]."""
-    return _fixed_point(src, alphas, True)[0]
+def conditional_renyi_sandwiched_curve(src: CQSource, alphas, start=None) -> Curve:
+    """H*_alpha(X|B) over an array of orders in (1, 2], started as augustin_sandwiched_curve."""
+    return Curve(*_fixed_point(src, alphas, True, start)[:2])
 
 
 def _support_powers(w: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -448,10 +452,7 @@ def augustin_petz_up_curve(src: CQSource, alphas) -> np.ndarray:
     its shape.  All orders reuse one eigendecomposition per symbol state plus
     one of the marginal, and each order rounds exactly as petz_renyi does.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    for a in alphas.flat:
-        _check_alpha(a, 0.0, 2.0)
-    orders = alphas.reshape(-1)
+    orders = _orders(alphas, False).reshape(-1)
     rho_b = marginal_state(src).entries
     mw, mv = _state_eigs(rho_b)
     pb = _support_powers(mw, 1.0 - orders)[:, :, None]
@@ -467,4 +468,4 @@ def augustin_petz_up_curve(src: CQSource, alphas) -> np.ndarray:
         if _support_leak(s.entries, mw, mv) > SUPPORT_LEAK_ATOL:
             value[orders > 1.0] = INF
         out += float(p) * value
-    return out.reshape(alphas.shape)
+    return out.reshape(np.shape(alphas))

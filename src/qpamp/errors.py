@@ -20,7 +20,11 @@ class CapacityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative optimizer exhausted max_iter; carries the best iterate."""
+    """A fixed-point solve stopped unconverged; ``best`` is what it reached.
+
+    One order: an AugustinResult at the last iterate, None if not finite.
+    An array of orders: the value array.
+    """
 
     def __init__(self, message: str, best=None):
         super().__init__(message)

@@ -7,16 +7,19 @@ Every exponent has the form
 with Q one of three rate-independent curves of a source, the rows of
 ``_FAMILIES``: the sandwiched Augustin information on (1, 2) (``augustin``),
 the Petz Augustin-like quantity at order 2 - 1/alpha on (1/2, 1)
-(``petz-up``), and -H*_alpha(X|B) on (1, 2) (``neg-conditional``).  Each
-kind supplies its row, the shift c (the rate and an entropy-like term) and
-the offset, plus its report's prefactor and meta.  ``_sup_over_alpha``, the
-one evaluator, grids the objective slightly inside the interval (the
-endpoints are singular in the prefactors) with one batched curve call,
-refines the best bracket by golden-section search on the same curve
-function and returns the ``ExponentReport``.  The grid's fixed-point solves
-start cold at the source marginal; every refinement solve of the same
-report starts at the grid optimizer of the best grid order, which has
-already converged next to the bracket and roughly halves the iterations.
+(``petz-up``), and -H*_alpha(X|B) on (1, 2) (``neg-conditional``).  The
+fixed-point rows call ``divergence.augustin_sandwiched_curve`` and
+``conditional_renyi_sandwiched_curve``, petz-up calls
+``augustin_petz_up_curve``.  Each kind supplies its row, the shift c (the
+rate and an entropy-like term) and the offset, plus its report's prefactor
+and meta.  ``_sup_over_alpha``, the one evaluator, grids the objective
+slightly inside the interval (the endpoints are singular in the prefactors)
+with one batched curve call, refines the best bracket by golden-section
+search on the same curve function and returns the ``ExponentReport``.  The
+grid starts every order cold at the source marginal; every refinement call
+of the same report passes the curve the grid optimizer of the best grid
+order as its ``start``, which has already converged next to the bracket and
+roughly halves the iterations.
 Each refinement call evaluates every point the next LOOKAHEAD golden steps
 may need, so it takes the same steps and returns the same floats as a
 search with one solve per step from that start.  Exponents are in nats per
@@ -25,7 +28,7 @@ symbol; negative values mean the bound is vacuous and are reported as-is.
 When the best grid order is the first or the last, the evaluator reads the
 objective's slope there before walking: a central difference over
 +- EDGE_STEP of Q with its reference state held at that order's grid
-optimizer (``divergence._objective_at``; petz-up's closed form has a fixed
+optimizer (``divergence.objective_at``; petz-up's closed form has a fixed
 reference), which solves no fixed point.  By the envelope theorem (Milgrom
 and Segal, Econometrica 70(2), 2002) that is the slope of the optimised
 objective.  If it points out of the grid by more than EDGE_SLOPE_MARGIN, the
@@ -108,45 +111,36 @@ class ExponentReport:
     meta: dict = field(default_factory=dict)
 
 
-class _Curve(NamedTuple):
-    """Q at each order, and the fixed-point optimizer there (None for petz-up)."""
-
-    values: np.ndarray
-    optimizers: np.ndarray | None
-
-
 class _Family(NamedTuple):
     """Open alpha interval of a curve Q, Q over an array of orders, and Q at one state.
 
     ``curve`` is called as (source, alphas, start) for the grid and the
-    refinement alike and returns a ``_Curve``.  The fixed-point rows start
-    every order at the d_B x d_B state ``start``, or at the source marginal
-    when it is None; petz-up has a closed form and ignores it.  Given one
-    order it raises the ConvergenceError of the family's single-point solve
-    (``best`` an AugustinResult for the fixed-point rows).  ``at_state`` is
-    called as (source, alphas, state) and returns Q over the orders with the
-    reference state held at ``state``, solving nothing: for the fixed-point
-    rows the objective they optimise, with the row's sign, at ``state``; for
-    petz-up, whose reference state is the marginal, its closed form.
+    refinement alike and returns a ``divergence.Curve``.  The fixed-point
+    rows pass ``start`` to their divergence curve, which starts every order
+    there (at the source marginal when it is None); petz-up has a closed
+    form and ignores it.  Given one order it raises the ConvergenceError of
+    the family's single-point solve.  ``at_state`` is called as (source,
+    alphas, state) and returns Q over the orders with the reference state
+    held at ``state``, solving nothing: ``divergence.objective_at`` with the
+    row's sign for the fixed-point rows, petz-up's closed form otherwise.
     """
 
     lo: float
     hi: float
-    curve: Callable[[CQSource, np.ndarray, np.ndarray | None], _Curve]
+    curve: Callable[[CQSource, np.ndarray, np.ndarray | None], dv.Curve]
     at_state: Callable[[CQSource, np.ndarray, np.ndarray | None], np.ndarray]
 
 
 def _fixed_point_row(conditional: bool, sign: float) -> tuple[Callable, Callable]:
-    """The curve of a fixed-point family, ``sign`` times the optimized value, and its at_state."""
+    """``sign`` times a public fixed-point curve of ``divergence``, and its at_state."""
+    name = "conditional_renyi_sandwiched_curve" if conditional else "augustin_sandwiched_curve"
 
     def curve(src, alphas, start):
-        values, optimizers, _, _ = dv._fixed_point(src, alphas, conditional, start)
-        return _Curve(sign * values, optimizers)
+        values, optimizers = getattr(dv, name)(src, alphas, start)
+        return dv.Curve(sign * values, optimizers)
 
     def at_state(src, alphas, state):
-        states, prior = dv._positive_part(src)
-        sigmas = np.broadcast_to(state, (alphas.size, *state.shape))
-        return sign * dv._objective_at(states, prior, alphas, sigmas, conditional=conditional)
+        return sign * dv.objective_at(src, alphas, state, conditional=conditional)
 
     return curve, at_state
 
@@ -155,23 +149,22 @@ def _petz_up(src, alphas, state=None):
     return dv.augustin_petz_up_curve(src, 2.0 - 1.0 / alphas)
 
 
-# The divergence functions are looked up when called, so code that replaces
-# one of them (a tracer, a test double) sees every call made from here, except
-# grid curves the memo already holds.  Every curve computes each order on its
-# own (the fixed-point sweep freezes each order as it converges), so a batch
-# of orders gives the same floats as one order at a time from the same start,
-# and a memoised grid curve the same floats as a fresh one.  The grid starts
-# cold at the marginal; the refinement starts at the grid optimizer of the
-# best grid order, which the memo keeps, so a hit refines from the same state
-# as a miss.
+# The fixed-point rows call divergence's public curves and petz-up its closed
+# form, all looked up when called, so code that replaces one (a tracer, a test
+# double) sees every grid and refinement call made from here, except grid
+# curves the memo holds.  Every curve computes each order on its own (the
+# fixed-point sweep freezes each order as it converges), so a batch of orders
+# gives the same floats as one order at a time from the same start.  The grid
+# starts cold at the marginal; the refinement starts at the grid optimizer of
+# the best grid order, which the memo keeps, so a hit refines as a miss does.
 _FAMILIES = {
     "augustin": _Family(1.0, 2.0, *_fixed_point_row(False, 1.0)),
-    "petz-up": _Family(0.5, 1.0, lambda src, a, start: _Curve(_petz_up(src, a), None), _petz_up),
+    "petz-up": _Family(0.5, 1.0, lambda src, a, start: dv.Curve(_petz_up(src, a), None), _petz_up),
     "neg-conditional": _Family(1.0, 2.0, *_fixed_point_row(True, -1.0)),
 }
 
 
-def _memo_bytes(key: bytes, curve: _Curve) -> int:
+def _memo_bytes(key: bytes, curve: dv.Curve) -> int:
     """What a memo entry holds: its key, values and optimizer stack."""
     return sys.getsizeof(key) + sum(sys.getsizeof(a) for a in curve if a is not None)
 
@@ -180,16 +173,16 @@ class _CurveMemo:
     """Least-recently-used grid curves under a digest of their inputs; unlocked."""
 
     def __init__(self):
-        self._curves: OrderedDict[bytes, _Curve] = OrderedDict()
+        self._curves: OrderedDict[bytes, dv.Curve] = OrderedDict()
         self.nbytes = 0
 
-    def get(self, key: bytes) -> _Curve | None:
+    def get(self, key: bytes) -> dv.Curve | None:
         curve = self._curves.get(key)
         if curve is not None:
             self._curves.move_to_end(key)
         return curve
 
-    def put(self, key: bytes, curve: _Curve) -> None:
+    def put(self, key: bytes, curve: dv.Curve) -> None:
         size = _memo_bytes(key, curve)
         if size > CURVE_MEMO_BYTES or key in self._curves:
             return
@@ -206,7 +199,7 @@ class _CurveMemo:
 _CURVES = _CurveMemo()
 
 
-def _grid_curve(src: CQSource, family: str, alphas: np.ndarray) -> _Curve:
+def _grid_curve(src: CQSource, family: str, alphas: np.ndarray) -> dv.Curve:
     """The family's cold-started curve over the grid ``alphas``, computed once per content.
 
     Both arrays are read-only copies that own their memory, so the memo
@@ -219,7 +212,7 @@ def _grid_curve(src: CQSource, family: str, alphas: np.ndarray) -> _Curve:
     key = digest.digest()
     curve = _CURVES.get(key)
     if curve is None:
-        curve = _Curve(*map(_read_only_copy, _FAMILIES[family].curve(src, alphas, None)))
+        curve = dv.Curve(*map(_read_only_copy, _FAMILIES[family].curve(src, alphas, None)))
         _CURVES.put(key, curve)
     return curve
 

@@ -448,6 +448,10 @@ class TestErrors:
              "--threads", "0"],
             # a writable path, but --threshold has no curve to write
             ["wiretap", CHANNEL, "--threshold", "--curve-out", os.path.join(DATA, "curve.csv")],
+            # --threshold is a mode of its own; a second requested mode is refused
+            ["wiretap", CHANNEL, "--threshold", "--rate", "0.1"],
+            ["wiretap", CHANNEL, "--threshold", "--simulate", "--rate", "0.05", "--type", "2,2",
+             "--delta", "0.06"],
             # only the PA kinds have a finite-n form
             ["exponent", SOURCE, "--kind", "sc-direct", "--rate", "0.1", "--n", "4", "--finite-n"],
         ],

@@ -252,8 +252,31 @@ class TestAugustinSandwiched:
         src = rand_source(rng, 3, 2, mix=0.1)
         alphas = np.array([1.05, 1.4, 1.95])
         curve = dv.augustin_sandwiched_curve(src, alphas)
-        for a, v in zip(alphas, curve):
+        for a, v in zip(alphas, curve.values):
             assert dv.augustin_sandwiched(src, a).value == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_objective_at_the_optimizers_is_the_curve(self, rng, conditional):
+        src = rand_source(rng, 3, 2, mix=0.1)
+        alphas = np.array([1.05, 1.4, 1.95])
+        fn = dv.conditional_renyi_sandwiched_curve if conditional else dv.augustin_sandwiched_curve
+        curve = fn(src, alphas)
+        at = dv.objective_at(src, alphas, curve.optimizers, conditional=conditional)
+        assert at.tobytes() == curve.values.tobytes()
+        one = dv.objective_at(src, alphas[1:2], curve.optimizers[1], conditional=conditional)
+        assert one.tobytes() == curve.values[1:2].tobytes()
+
+    @pytest.mark.parametrize(
+        "alphas, state",
+        [([1.0], np.eye(2) / 2), ([2.5], np.eye(2) / 2), ([1.5], np.eye(3) / 3),
+         ([1.3, 1.5], np.stack([np.eye(2) / 2] * 3))],
+        ids=["alpha-one", "alpha-above-two", "wrong-dimension", "wrong-stack"],
+    )
+    def test_objective_at_refuses_bad_input(self, rng, alphas, state):
+        src = rand_source(rng, 2, 2)
+        for conditional in (False, True):
+            with pytest.raises(InvalidParameterError):
+                dv.objective_at(src, alphas, state, conditional=conditional)
 
     def test_alpha_range(self, rng):
         src = rand_source(rng, 2, 2)

@@ -415,7 +415,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _solve(src, a, conditional, start):
     """One fixed-point order started at ``start`` (None: the marginal)."""
-    return dv._fixed_point(src, a, conditional, start)[0][0]
+    curve = dv.conditional_renyi_sandwiched_curve if conditional else dv.augustin_sandwiched_curve
+    return curve(src, a, start).values[0]
 
 
 #: each curve family at one order from a given start, one solve per call
@@ -638,15 +639,15 @@ class TestSpeculativeRefinement:
     def test_batch_count(self, monkeypatch, rng):
         src = rand_source(rng, 2, 2, mix=0.1)
         sizes = []
-        fixed_point = dv._fixed_point
+        augustin = dv.augustin_sandwiched_curve
 
-        def counting(src, alphas, *args):
+        def counting(src, alphas, start):
             if np.ndim(alphas) == 0:
                 raise AssertionError("refinement made a single-point solve")
             sizes.append(np.size(alphas))
-            return fixed_point(src, alphas, *args)
+            return augustin(src, alphas, start)
 
-        monkeypatch.setattr(dv, "_fixed_point", counting)
+        monkeypatch.setattr(dv, "augustin_sandwiched_curve", counting)
         _assert_interior(exponent.pa_achievability_exponent(src, 0.3))
         assert sizes[0] == exponent.GRID_POINTS
         assert 1 <= len(sizes) - 1 <= 12
@@ -754,9 +755,11 @@ class TestEdgeSkip:
         src = rand_source(rng, 2, 2, mix=0.1)
         miss = run(src)
         _assert_edge(miss)
-        solves = _counting(monkeypatch, dv, "_fixed_point")
+        sweeps = _counting(monkeypatch, dv, "_fixed_point")
+        augustin = _counting(monkeypatch, dv, "augustin_sandwiched_curve")
+        conditional = _counting(monkeypatch, dv, "conditional_renyi_sandwiched_curve")
         assert run(src) == miss
-        assert solves == []
+        assert sweeps == augustin == conditional == []
 
     @pytest.mark.parametrize("kind", _EDGE_KINDS)
     def test_unread_bracket_cannot_raise(self, monkeypatch, rng, kind):
@@ -778,29 +781,69 @@ class TestEdgeSkip:
             run(src)
 
 
+# -- the traced boundary -------------------------------------------------------
+
+
+class TestPublicCurvesCarryEverySweep:
+    """A tracer wraps divergence's public curves; every fixed-point sweep passes through one."""
+
+    @pytest.mark.parametrize(
+        "run, used, unused",
+        [
+            (lambda src: exponent.pa_achievability_exponent(src, 0.3),
+             "augustin_sandwiched_curve", "conditional_renyi_sandwiched_curve"),
+            (lambda src: exponent.dupuis_exponent(src, 0.3),
+             "conditional_renyi_sandwiched_curve", "augustin_sandwiched_curve"),
+        ],
+        ids=["pa-direct", "dupuis"],
+    )
+    def test_grid_and_refinement_go_through_the_public_curve(
+        self, monkeypatch, rng, run, used, unused
+    ):
+        src = rand_source(rng, 2, 2, mix=0.1)
+        sweeps = _counting(monkeypatch, dv, "_fixed_point")
+        public = _counting(monkeypatch, dv, used)
+        other = _counting(monkeypatch, dv, unused)
+
+        def orders(calls):
+            return [np.atleast_1d(args[1]).tolist() for args in calls]
+
+        _assert_interior(run(src))
+        cold = orders(public)
+        assert len(cold[0]) == exponent.GRID_POINTS and len(cold) > 1
+        assert orders(sweeps) == cold and other == []
+        sweeps.clear()
+        public.clear()
+        run(src)  # a memo hit: the refinement only
+        assert orders(public) == cold[1:]
+        assert orders(sweeps) == cold[1:] and other == []
+
+
 # -- grid-curve memo -------------------------------------------------------------
+
+#: the public curve of ``divergence`` behind each family
+_PUBLIC_CURVES = {
+    "augustin": "augustin_sandwiched_curve",
+    "petz-up": "augustin_petz_up_curve",
+    "neg-conditional": "conditional_renyi_sandwiched_curve",
+}
+
 
 def _count_grid_calls(monkeypatch, points=exponent.GRID_POINTS):
     """Count, per family, the curve calls over ``points`` orders.
 
-    The fixed-point rows call ``divergence._fixed_point`` (``conditional``
-    tells them apart), petz-up calls ``augustin_petz_up_curve``.
+    Each family calls its own public curve of ``divergence``.
     """
     counts = dict.fromkeys(exponent._FAMILIES, 0)
-    fixed_point, petz_up = dv._fixed_point, dv.augustin_petz_up_curve
+    for family, name in _PUBLIC_CURVES.items():
+        curve = getattr(dv, name)
 
-    def counting_fixed_point(src, alphas, conditional, *args):
-        if np.size(alphas) == points:
-            counts["neg-conditional" if conditional else "augustin"] += 1
-        return fixed_point(src, alphas, conditional, *args)
+        def counting(src, alphas, *args, family=family, curve=curve):
+            if np.size(alphas) == points:
+                counts[family] += 1
+            return curve(src, alphas, *args)
 
-    def counting_petz_up(src, alphas):
-        if np.size(alphas) == points:
-            counts["petz-up"] += 1
-        return petz_up(src, alphas)
-
-    monkeypatch.setattr(dv, "_fixed_point", counting_fixed_point)
-    monkeypatch.setattr(dv, "augustin_petz_up_curve", counting_petz_up)
+        monkeypatch.setattr(dv, name, counting)
     return counts
 
 
