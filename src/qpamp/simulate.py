@@ -39,8 +39,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InvalidParameterError
-from .model import _SHOWN_COUNT, ConstantTypeSource, _capped_comb, enumerate_type_class
-from .model import type_class_log_size
+from .model import _SHOWN_COUNT, ENUMERATION_CAP, ConstantTypeSource, _capped_comb
+from .model import enumerate_type_class, type_class_log_size
 from .qmat import DIMENSION_CAP
 
 #: cap on the binnings / codebooks of an exact route and the sequences of a Monte Carlo one
@@ -50,7 +50,8 @@ _MASK64 = (1 << 64) - 1
 _BATCH_ENTRIES = 2_097_152
 #: ceiling on the bytes of all subset differences one exact expectation streams
 _STREAM_BYTES_CAP = 4 << 30
-#: ceiling on the bytes of the stacked type-class states, |T| * D^2 * 16
+#: ceiling on the bytes of the stacked type-class states, |T| * D^2 * 16; the build
+#: briefly holds the stack plus its previous level, 1/d_B^2 of it
 _STATE_STACK_BYTES_CAP = 1 << 30
 #: complex entries per Monte Carlo eigvalsh batch (~1 MB); 4 MB batches ran no
 #: faster and raised the resident peak of a Monte Carlo run by 11-21%
@@ -103,41 +104,28 @@ def _draw_without_replacement(rng: np.random.Generator, size: int, m: int) -> np
 
 
 def _sequence_state_stack(src: ConstantTypeSource, domain) -> np.ndarray:
-    """Stack of tensor-product sequence states, shape (|T|, D, D)."""
-    singles = src.base.state_stack()
-    dim_total = singles.shape[-1] ** src.n
-    if dim_total > DIMENSION_CAP:
-        raise CapacityError(
-            f"sequence dimension {dim_total} exceeds the cap {DIMENSION_CAP}"
-        )
-    if (stack_bytes := len(domain) * dim_total * dim_total * 16) > _STATE_STACK_BYTES_CAP:
-        raise CapacityError(
-            f"{len(domain)} sequence states of {dim_total}x{dim_total} need "
-            f"{stack_bytes / 2**30:.2f} GiB, over the "
-            f"{_STATE_STACK_BYTES_CAP >> 30} GiB state-stack ceiling"
-        )
-    out = np.empty((len(domain), dim_total, dim_total), dtype=complex)
-    # partial[j] is the product over the first j+1 positions of the previous
-    # sequence; lexicographic neighbours share most of it, and each product is
-    # the same chain of kron calls as a fresh one
-    partial, last = [], ()
-    for i, seq in enumerate(domain):
-        keep = 0
-        while keep < len(partial) and seq[keep] == last[keep]:
-            keep += 1
-        del partial[keep:]
-        for x in seq[keep:]:
-            partial.append(np.kron(partial[-1], singles[x]) if partial else singles[x])
-        out[i], last = partial[-1], seq
+    """Stack of tensor-product sequence states, shape (|T|, D, D), one position at a time.
+
+    Each step multiplies every entry of the stack so far by every entry of the
+    next position's state, as ``np.kron`` does, so a stack equals its
+    sequences' kron chains bit for bit.
+    """
+    singles, columns = src.base.state_stack(), np.array(domain).T
+    out = singles[columns[0]]
+    for column in columns[1:]:
+        d = out.shape[-1] * singles.shape[-1]
+        out = (out[:, :, None, :, None] * singles[column][:, None, :, None, :]).reshape(-1, d, d)
     return out
 
 
-def _class_size(src: ConstantTypeSource) -> int:
-    """|T|, refused before it is counted when its states could never be stacked.
+def _class_size(src: ConstantTypeSource, cap: int = ENUMERATION_CAP) -> int:
+    """|T|, the one gate before a route enumerates or stacks the type class.
 
-    Every route stacks the |T| sequence states of D = d_B^n; the log of their
-    bytes is compared with the state-stack ceiling, one nat to spare for
-    rounding, so nothing that ceiling passes is refused here.
+    Every route stacks the |T| sequence states of D = d_B^n.  The log of their
+    bytes is compared with the state-stack ceiling first, one nat to spare
+    for rounding, so a class that could never be stacked is refused before
+    |T| is counted; then |T| against `cap`, D against DIMENSION_CAP and the
+    exact stack bytes.
     """
     t = src.type
     log_bytes = type_class_log_size(t) + 2 * t.n * math.log(src.base.dim_b) + math.log(16)
@@ -146,12 +134,21 @@ def _class_size(src: ConstantTypeSource) -> int:
             f"the type-class states need about 2^{log_bytes / math.log(2):.4g} bytes, "
             f"over the {_STATE_STACK_BYTES_CAP >> 30} GiB state-stack ceiling"
         )
-    return t.class_size()
+    if (size := t.class_size()) > cap:
+        raise CapacityError(f"type class has {size} sequences, above the cap {cap}")
+    if (dim := src.base.dim_b**t.n) > DIMENSION_CAP:
+        raise CapacityError(f"sequence dimension {dim} exceeds the cap {DIMENSION_CAP}")
+    if (stack_bytes := size * dim * dim * 16) > _STATE_STACK_BYTES_CAP:
+        raise CapacityError(
+            f"{size} sequence states of {dim}x{dim} need {stack_bytes / 2**30:.2f} GiB, "
+            f"over the {_STATE_STACK_BYTES_CAP >> 30} GiB state-stack ceiling"
+        )
+    return size
 
 
-def _prepare(src: ConstantTypeSource, cap: float = math.inf):
-    """Type class, sequence states and their mean; the exact routes gate their own counts."""
-    domain = tuple(enumerate_type_class(src.type, cap=cap))
+def _prepare(src: ConstantTypeSource):
+    """Type class, sequence states and their mean, once ``_class_size`` has passed it."""
+    domain = tuple(enumerate_type_class(src.type))
     states = _sequence_state_stack(src, domain)
     marginal = states.mean(axis=0)
     return domain, states, marginal
@@ -421,10 +418,10 @@ def d_sc_monte_carlo(
     threads: int = 1,
 ) -> SimEstimate:
     """Monte Carlo estimate of d_sc_exact; unbiased, deterministic given seed."""
-    size = _class_size(src)
+    size = _class_size(src, EXACT_ENUMERATION_CAP)
     if not 1 <= M <= size:
         raise InvalidParameterError(f"M={M} must lie in [1, |T|={size}]")
-    _, states, marginal = _prepare(src, EXACT_ENUMERATION_CAP)
+    _, states, marginal = _prepare(src)
     return _mc_run(
         states, marginal, lambda rng: np.sort(_draw_without_replacement(rng, size, M)),
         (1, M), trials, rng_seed, threads,
@@ -440,9 +437,9 @@ def d_pa_monte_carlo(
     threads: int = 1,
 ) -> SimEstimate:
     """Monte Carlo estimate of d_pa_exact over sampled regular binnings."""
-    size = _class_size(src)
+    size = _class_size(src, EXACT_ENUMERATION_CAP)
     k = _bin_size(size, num_bins)
-    _, states, marginal = _prepare(src, EXACT_ENUMERATION_CAP)
+    _, states, marginal = _prepare(src)
     return _mc_run(
         states, marginal, lambda rng: _draw_binning(rng, num_bins, k),
         (num_bins, k), trials, rng_seed, threads,

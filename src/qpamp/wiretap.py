@@ -252,9 +252,10 @@ def simulate_leakage(
     # refuses a class too large to stack before the divisor search walks it
     size = simulate._class_size(eve)
     n = t.n
-    target_joint = math.exp(n * (alloc.R + alloc.R2))
-    bins_joint = _nearest_divisor(size, target_joint)
-    bins_key = _nearest_divisor(bins_joint, math.exp(n * alloc.R2))
+    # a target above |T| picks |T| itself, so clamping each exponent one nat past
+    # the log of its divisor range changes no choice and keeps math.exp finite
+    bins_joint = _nearest_divisor(size, math.exp(min(n * (alloc.R + alloc.R2), math.log(size) + 1)))
+    bins_key = _nearest_divisor(bins_joint, math.exp(min(n * alloc.R2, math.log(bins_joint) + 1)))
     m = bins_joint // bins_key
     ell = size // bins_joint
     realized = RateAllocation(

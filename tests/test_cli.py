@@ -312,6 +312,36 @@ class TestSimulate:
         assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
         assert json.loads(out.stdout)["result"] == {"value": 0.0}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--task", "pa", "--exact", "--type", "12,12", "--bins", "1"],
+            ["--task", "sc", "--exact", "--type", "12,12", "--M", "2704156"],
+            ["--task", "pa", "--exact", "--type", "12,12", "--bins", "2704156"],
+        ],
+        ids=["pa-one-bin", "sc-whole-class", "pa-singleton-bins"],
+    )
+    def test_exact_routes_refuse_past_the_sequence_cap(self, tmp_path, argv):
+        # the 2,704,156 one-dimensional states stack in 41 MiB and pass every
+        # binning and codebook count; the 10^6 sequence cap refuses them before
+        # the class is enumerated
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"prior": [0.5, 0.5], "states": [[[[1, 0]]]] * 2}))
+        limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        out = run_python(limit + CLI_MAIN, "simulate", str(flat), *argv, timeout=10)
+        assert out.returncode == 3, out.stderr
+        assert out.stdout == "" and out.stderr.count("\n") == 1
+        assert out.stderr.startswith("error: type class has 2704156 sequences")
+
+    def test_one_bin_of_a_class_within_the_sequence_cap_runs(self, tmp_path):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"prior": [0.5, 0.5], "states": [[[[1, 0]]]] * 2}))
+        limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+        out = run_python(limit + CLI_MAIN, "simulate", str(flat), "--task", "pa", "--exact",
+                         "--type", "8,8", "--bins", "1", timeout=30)
+        assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+        assert json.loads(out.stdout)["result"] == {"value": 0.0}
+
     def test_long_one_dimensional_class_runs(self, capsys, tmp_path):
         # 1,500 positions: the type class is enumerated without recursion
         one = tmp_path / "one.json"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.linalg import block_diag
 from conftest import rand_instance
 from qpamp.errors import CapacityError, InvalidParameterError
 from qpamp.model import ConstantTypeSource, TypeDistribution, enumerate_type_class
-from qpamp.qmat import DensityOperator, HermitianOperator, random_density, trace_norm
+from qpamp.qmat import DensityOperator, HermitianOperator, random_density, random_pure, trace_norm
 from qpamp import simulate
 from qpamp.simulate import (
     d_pa_exact,
@@ -103,6 +104,37 @@ class TestSampling:
         c = substream(42, 4).integers(1 << 30, size=5)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestSequenceStateStack:
+    """_prepare's stack against each sequence's own left-to-right np.kron chain."""
+
+    @pytest.mark.parametrize(
+        "counts, dim, pure",
+        [((1,), 2, False), ((0, 1), 3, True), ((2, 1, 1), 3, False), ((2, 1, 1), 3, True),
+         ((3, 2, 1), 2, False), ((3, 2, 1), 2, True), ((4, 4), 2, False), ((4, 4), 2, True)],
+    )
+    def test_stack_equals_the_kron_chains_bit_for_bit(self, rng, counts, dim, pure):
+        make = random_pure if pure else random_density
+        states = tuple(make(rng, dim) for _ in counts)
+        src = ConstantTypeSource.from_states(states, TypeDistribution(n=sum(counts), counts=counts))
+        domain, stack, _ = simulate._prepare(src)
+        symbols = [x for x, c in enumerate(counts) for _ in range(c)]
+        assert list(domain) == sorted(set(permutations(symbols)))
+        assert stack.shape == (len(domain), dim ** len(symbols), dim ** len(symbols))
+        for seq, state in zip(domain, stack):
+            chain = reduce(np.kron, [states[x].entries for x in seq])
+            assert state.tobytes() == chain.tobytes(), seq
+
+    def test_one_dimensional_class_equals_its_chain(self):
+        # both states are [[1]], so each of the 48,620 sequences of (9,9) has
+        # the same 18-factor chain
+        one = DensityOperator(np.ones((1, 1)))
+        src = ConstantTypeSource.from_states((one, one), TypeDistribution(n=18, counts=(9, 9)))
+        _, stack, _ = simulate._prepare(src)
+        chain = reduce(np.kron, [one.entries] * 18)
+        assert stack.shape == (math.comb(18, 9), 1, 1)
+        assert stack.tobytes() == np.broadcast_to(chain, stack.shape).tobytes()
 
 
 class TestSoftCoveringDistance:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from qpamp.wiretap import (
     secrecy_exponent,
     simulate_leakage,
 )
+
+
+CHANNEL = Path(__file__).parent.parent / "data" / "wiretap_product.json"
 
 
 def product_channel(bob_states, eve_states, prior) -> WiretapChannel:
@@ -289,6 +294,15 @@ class TestSimulateLeakage:
         alloc = RateAllocation(R=math.log(3) / 4, R1=0.0, R2=math.log(2) / 4)
         rep = simulate_leakage(ch, t, alloc, trials=10**12, rng_seed=0)
         assert rep.exact and rep.direct is not None
+
+    def test_rate_past_the_float_range_takes_the_whole_class(self):
+        # exp(6 * 200) overflows a float; any target past |T| picks |T| bins
+        ch = channel_from_json(json.loads(CHANNEL.read_text()))
+        t = TypeDistribution(n=6, counts=(3, 3))
+        rep = simulate_leakage(ch, t, RateAllocation(R=200.0, R1=0.0, R2=0.0), trials=2,
+                               rng_seed=0)
+        assert rep.bins_joint == t.class_size() == 20
+        assert rep.bins_key == 1
 
     @pytest.mark.parametrize("m, ell", [(3, 1), (2, 2), (3, 2), (2, 3)])
     def test_direct_leakage_matches_partition_walk(self, rng, m, ell):
